@@ -18,10 +18,9 @@ void CentralDirectorySystem::on_insert(NodeIndex node, ObjectId id) {
 }
 
 void CentralDirectorySystem::on_evict(NodeIndex node, ObjectId id) {
-  auto it = directory_.find(id);
-  if (it != directory_.end()) {
-    it->second.erase(node);
-    if (it->second.empty()) directory_.erase(it);
+  if (NodeSet* holders = directory_.find(id)) {
+    holders->erase(node);
+    if (holders->empty()) directory_.erase(id);
   }
   ++directory_updates_;
 }
@@ -47,8 +46,8 @@ core::RequestOutcome CentralDirectorySystem::handle_request(
   const Millis query = cost_.control_rtt(net::kIntermediateDistance);
   NodeIndex best = kInvalidNode;
   int best_dist = 4;
-  if (auto it = directory_.find(r.object); it != directory_.end()) {
-    it->second.for_each([&](NodeIndex holder) {
+  if (const NodeSet* holders = directory_.find(r.object)) {
+    holders->for_each([&](NodeIndex holder) {
       if (holder == l1) return;  // our own stale/absent copy does not count
       const cache::LruCache::Entry* he = l1_[holder].peek(r.object);
       if (he == nullptr || he->version < r.version) return;
@@ -80,10 +79,9 @@ core::RequestOutcome CentralDirectorySystem::handle_request(
 }
 
 void CentralDirectorySystem::handle_modify(const trace::Record& r) {
-  auto it = directory_.find(r.object);
-  if (it != directory_.end()) {
-    it->second.for_each([&](NodeIndex holder) { l1_[holder].erase(r.object); });
-    directory_.erase(it);
+  if (const NodeSet* holders = directory_.find(r.object)) {
+    holders->for_each([&](NodeIndex holder) { l1_[holder].erase(r.object); });
+    directory_.erase(r.object);
   }
 }
 

@@ -9,10 +9,10 @@
 // load is the unfiltered total the hierarchy's root avoids.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "cache/lru_cache.h"
+#include "common/flat_map.h"
 #include "common/node_set.h"
 #include "core/cache_system.h"
 #include "net/cost_model.h"
@@ -48,7 +48,7 @@ class CentralDirectorySystem final : public core::CacheSystem {
   net::HierarchyTopology topo_;
   const net::CostModel& cost_;
   std::vector<cache::LruCache> l1_;
-  std::unordered_map<ObjectId, NodeSet> directory_;
+  FlatMap<NodeSet> directory_;
   std::uint64_t directory_updates_ = 0;
   bool recording_ = true;
 };

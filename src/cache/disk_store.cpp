@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -313,19 +314,21 @@ void DiskStore::drop_locked(ObjectId id, bool unlink_file) {
 }
 
 void DiskStore::evict_to_fit_locked() {
-  // Scan-based eviction: collect the least-recently-accessed entries until
-  // the store fits. One O(n log n) pass per over-budget put — the spill
-  // tier's ops are syscall-bound anyway, and the batch usually evicts many
-  // entries at once.
+  // Scan-based eviction: heapify (last_access, id) over the index and pop
+  // the least-recently-accessed entries, ties broken by id, until the store
+  // fits: O(n + k log n) for k victims instead of sorting all n entries.
   if (used_bytes_ <= opts_.capacity_bytes) return;
   std::vector<std::pair<std::uint64_t, ObjectId>> by_age;
   by_age.reserve(index_.size());
   for (const auto& [id, e] : index_) {
     by_age.emplace_back(e.last_access, id);
   }
-  std::sort(by_age.begin(), by_age.end());
-  for (const auto& [age, id] : by_age) {
-    if (used_bytes_ <= opts_.capacity_bytes) break;
+  const auto older = std::greater<>();  // min-heap: oldest on top
+  std::make_heap(by_age.begin(), by_age.end(), older);
+  while (!by_age.empty() && used_bytes_ > opts_.capacity_bytes) {
+    std::pop_heap(by_age.begin(), by_age.end(), older);
+    const ObjectId id = by_age.back().second;
+    by_age.pop_back();
     drop_locked(id, /*unlink_file=*/true);
     ++stats_.evictions;
     if (on_evict_) on_evict_(id);

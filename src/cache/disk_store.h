@@ -25,9 +25,10 @@
 //
 // Eviction is scan-based against a byte budget: an in-memory index maps id
 // -> {file bytes, last-access tick}; when a put pushes the total over
-// capacity, the index is scanned for the least-recently-accessed entries
-// until the store fits. O(n) per eviction batch, which is fine at the access
-// rates of a spill tier (every op here already paid a syscall).
+// capacity, the index is heapified by (last access, id) and the oldest
+// entries, ties in id order, are popped until the store fits. O(n + k log n)
+// per batch of k evictions, which is fine at the access rates of a spill
+// tier (every op here already paid a syscall).
 //
 // Thread-safety: all public methods are safe to call concurrently. File
 // payload I/O runs outside the index mutex; only index bookkeeping (and

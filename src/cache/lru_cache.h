@@ -9,17 +9,21 @@
 //
 // Hot-path layout: entries live in a slab (vector of nodes threaded into an
 // intrusive doubly-linked recency list by index) instead of a std::list, so
-// insert/erase recycle slab slots rather than allocating list nodes, and
-// find/insert each do exactly one hash lookup. Entry pointers returned by
+// insert/erase recycle slab slots rather than allocating list nodes. The
+// id -> slab-slot index is an open-addressing FlatMap, so no operation
+// allocates once the slab and index have grown. find/peek/age and a
+// replacing insert do one index probe; erase and an insert of a new id do
+// two (a new id is indexed only after eviction, so no index position is held
+// across the evictions' index erases). Entry pointers returned by
 // find/peek are invalidated by the next insert (the slab may grow); callers
 // use them immediately, never across mutations.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace bh::cache {
@@ -99,7 +103,7 @@ class LruCache {
   std::vector<std::uint32_t> free_;  // recycled slab slots
   std::uint32_t head_ = kNil;        // most recently used
   std::uint32_t tail_ = kNil;        // least recently used
-  std::unordered_map<ObjectId, std::uint32_t> index_;
+  FlatMap<std::uint32_t> index_;  // id -> slab slot
 };
 
 }  // namespace bh::cache

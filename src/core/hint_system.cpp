@@ -116,9 +116,9 @@ void HintSystem::insert_copy(NodeIndex node, ObjectId id, std::uint64_t size,
                              Version version, bool pushed) {
   const bool ok = l1_[node].insert(
       id, size, version, pushed, [this, node](const cache::LruCache::Entry& v) {
-        if (auto it = holders_.find(v.id); it != holders_.end()) {
-          it->second.erase(node);
-          if (it->second.empty()) holders_.erase(it);
+        if (NodeSet* h = holders_.find(v.id)) {
+          h->erase(node);
+          if (h->empty()) holders_.erase(v.id);
         }
         meta_.invalidate(node, v.id);
       });
@@ -203,11 +203,11 @@ RequestOutcome HintSystem::handle_request(const trace::Record& r) {
     if (!client_stores_.empty()) {
       client_stores_[r.client % client_stores_.size()]->erase(r.object);
     }
-  } else if (auto it = holders_.find(r.object);
-             it != holders_.end() && !it->second.empty()) {
+  } else if (const NodeSet* h = holders_.find(r.object);
+             h != nullptr && !h->empty()) {
     // No hint although a fresh copy exists somewhere: false negative.
     bool fresh_somewhere = false;
-    it->second.for_each([&](NodeIndex n) {
+    h->for_each([&](NodeIndex n) {
       if (n != l1 && fresh_at(n, r.object, r.version)) fresh_somewhere = true;
     });
     out.hint_false_negative = fresh_somewhere;
@@ -224,13 +224,14 @@ RequestOutcome HintSystem::handle_request(const trace::Record& r) {
 }
 
 void HintSystem::handle_modify(const trace::Record& r) {
-  auto it = holders_.find(r.object);
-  if (it != holders_.end()) {
+  if (const NodeSet* h = holders_.find(r.object)) {
+    // A copy, so no pointer into holders_ is held while the policy runs.
+    const NodeSet stale = *h;
     // The policy sees the stale version's holders before they are dropped
     // (update push remembers them as candidates for the new version).
-    policy_->on_modify(*this, access_of(r), it->second);
-    it->second.for_each([&](NodeIndex n) { l1_[n].erase(r.object); });
-    holders_.erase(it);
+    policy_->on_modify(*this, access_of(r), stale);
+    stale.for_each([&](NodeIndex n) { l1_[n].erase(r.object); });
+    holders_.erase(r.object);
   }
   meta_.invalidate_object(r.object);
 }

@@ -21,10 +21,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/lru_cache.h"
+#include "common/flat_map.h"
 #include "common/node_set.h"
 #include "common/rng.h"
 #include "core/cache_system.h"
@@ -134,7 +134,7 @@ class HintSystem final : public CacheSystem, private placement::Host {
   std::vector<cache::LruCache> l1_;
   // Per-client hint caches (alternate configuration, real mechanism).
   std::vector<std::unique_ptr<hints::HintStore>> client_stores_;
-  std::unordered_map<ObjectId, NodeSet> holders_;  // ground truth
+  FlatMap<NodeSet> holders_;  // ground truth
   std::unique_ptr<placement::Policy> policy_;
   Rng rng_;
 

@@ -221,22 +221,18 @@ void AssociativeHintCache::restore(const std::string& path) {
 }
 
 std::optional<MachineId> UnboundedHintStore::lookup(ObjectId id) {
-  auto it = map_.find(id.value);
-  if (it == map_.end()) return std::nullopt;
-  return MachineId{it->second};
+  const MachineId* loc = map_.find(id);
+  if (loc == nullptr) return std::nullopt;
+  return *loc;
 }
 
-void UnboundedHintStore::insert(ObjectId id, MachineId loc) {
-  map_[id.value] = loc.value;
-}
+void UnboundedHintStore::insert(ObjectId id, MachineId loc) { map_[id] = loc; }
 
-bool UnboundedHintStore::erase(ObjectId id) { return map_.erase(id.value) > 0; }
+bool UnboundedHintStore::erase(ObjectId id) { return map_.erase(id); }
 
 void UnboundedHintStore::for_each(
     const std::function<void(ObjectId, MachineId)>& fn) const {
-  for (const auto& [key, loc] : map_) {
-    fn(ObjectId{key}, MachineId{loc});
-  }
+  map_.for_each(fn);
 }
 
 StripedHintStore::StripedHintStore(std::uint64_t capacity_bytes,

@@ -19,9 +19,9 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/hash.h"
 #include "hints/hint_record.h"
 #include "obs/metrics.h"
@@ -150,7 +150,7 @@ class UnboundedHintStore final : public HintStore {
       const std::function<void(ObjectId, MachineId)>& fn) const override;
 
  private:
-  std::unordered_map<std::uint64_t, std::uint64_t> map_;
+  FlatMap<MachineId> map_;
 };
 
 // Lock-striped thread-safe front over N sub-stores: the stripe for an object

@@ -73,13 +73,11 @@ void MetadataHierarchy::invalidate_object(ObjectId id) {
 // L2 metadata nodes
 // ---------------------------------------------------------------------------
 
-NodeIndex MetadataHierarchy::l2_representative(const InternalEntry& e,
+NodeIndex MetadataHierarchy::l2_representative(const NodeSet& children,
                                                std::uint32_t l2) const {
-  (void)l2;
-  const NodeIndex slot = e.children.first();
+  const NodeIndex slot = children.first();
   if (slot == kInvalidNode) return kInvalidNode;
-  if (static_cast<std::size_t>(slot) < e.reps.size()) return e.reps[slot];
-  return kInvalidNode;
+  return l2 * topo_.l1_per_l2() + slot;
 }
 
 void MetadataHierarchy::l2_child_inform(std::uint32_t l2, NodeIndex leaf,
@@ -88,21 +86,21 @@ void MetadataHierarchy::l2_child_inform(std::uint32_t l2, NodeIndex leaf,
   const std::uint32_t slot = leaf % topo_.l1_per_l2();
   const bool was_empty = e.children.empty();
   e.children.insert(slot);
-  if (e.reps.empty()) e.reps.assign(topo_.l1_per_l2(), kInvalidNode);
-  e.reps[slot] = leaf;
   if (!was_empty) return;  // second copy in the subtree: not distributed
+  const NodeSet children = e.children;
+  const bool external_known = e.external != kInvalidNode;
 
   // Tell children that do not themselves hold copies about the new copy.
   const std::uint32_t base = l2 * topo_.l1_per_l2();
   const std::uint32_t end = std::min(base + topo_.l1_per_l2(), topo_.num_l1());
   for (std::uint32_t c = base; c < end; ++c) {
     if (c == leaf) continue;
-    if (e.children.contains(c % topo_.l1_per_l2())) continue;
+    if (children.contains(c % topo_.l1_per_l2())) continue;
     send(1, [this, c, leaf, id](SimTime) { leaf_learn(c, leaf, id); });
   }
 
   // First copy in this subtree and nothing known outside it: propagate up.
-  if (e.external == kInvalidNode) {
+  if (!external_known) {
     send(1, [this, l2, leaf, id](SimTime) { root_child_inform(l2, leaf, id); });
   }
 }
@@ -122,17 +120,16 @@ void MetadataHierarchy::l2_parent_inform(std::uint32_t l2, NodeIndex loc,
 
 void MetadataHierarchy::l2_child_remove(std::uint32_t l2, NodeIndex leaf,
                                         ObjectId id) {
-  auto it = l2_state_[l2].find(id);
-  if (it == l2_state_[l2].end()) return;  // stale remove (object invalidated)
-  InternalEntry& e = it->second;
+  InternalEntry* e = l2_state_[l2].find(id);
+  if (e == nullptr) return;  // stale remove (object invalidated)
   const std::uint32_t slot = leaf % topo_.l1_per_l2();
-  if (!e.children.contains(slot)) return;
-  e.children.erase(slot);
-  if (!e.reps.empty()) e.reps[slot] = kInvalidNode;
+  if (!e->children.contains(slot)) return;
+  e->children.erase(slot);
+  const bool group_empty = e->children.empty();
 
   // Advertise the non-presence with the next best location, if any.
   const NodeIndex next =
-      !e.children.empty() ? l2_representative(e, l2) : e.external;
+      !group_empty ? l2_representative(e->children, l2) : e->external;
   const std::uint32_t base = l2 * topo_.l1_per_l2();
   const std::uint32_t end = std::min(base + topo_.l1_per_l2(), topo_.num_l1());
   for (std::uint32_t c = base; c < end; ++c) {
@@ -143,9 +140,15 @@ void MetadataHierarchy::l2_child_remove(std::uint32_t l2, NodeIndex leaf,
     });
   }
 
-  if (e.children.empty()) {
+  if (group_empty) {
     send(1, [this, l2, leaf, id](SimTime) { root_child_remove(l2, leaf, id); });
-    if (e.empty()) l2_state_[l2].erase(it);
+    // A synchronous root_child_remove sends this group its own correction,
+    // which reads (and may rewrite) this entry: look it up again.
+    InternalState& state = l2_state_[l2];
+    if (const InternalEntry* cur = state.find(id);
+        cur != nullptr && cur->empty()) {
+      state.erase(id);
+    }
   }
 }
 
@@ -169,10 +172,11 @@ void MetadataHierarchy::root_child_inform(std::uint32_t l2, NodeIndex loc,
   if (e.reps.empty()) e.reps.assign(topo_.num_l2(), kInvalidNode);
   e.reps[l2] = loc;
   if (!was_empty) return;
+  const NodeSet children = e.children;
 
   for (std::uint32_t g = 0; g < topo_.num_l2(); ++g) {
     if (g == l2) continue;
-    if (e.children.contains(g)) continue;
+    if (children.contains(g)) continue;
     send(1, [this, g, loc, id](SimTime) { l2_parent_inform(g, loc, id); });
   }
 }
@@ -180,28 +184,28 @@ void MetadataHierarchy::root_child_inform(std::uint32_t l2, NodeIndex loc,
 void MetadataHierarchy::root_child_remove(std::uint32_t l2, NodeIndex gone,
                                           ObjectId id) {
   ++root_updates_;
-  auto it = root_state_.find(id);
-  if (it == root_state_.end()) return;
-  InternalEntry& e = it->second;
-  e.children.erase(l2);
-  if (!e.reps.empty()) e.reps[l2] = kInvalidNode;
+  InternalEntry* e = root_state_.find(id);
+  if (e == nullptr) return;
+  e->children.erase(l2);
+  if (!e->reps.empty()) e->reps[l2] = kInvalidNode;
+  const NodeSet children = e->children;
 
   NodeIndex next = kInvalidNode;
-  if (const NodeIndex slot = e.children.first(); slot != kInvalidNode) {
-    next = e.reps[static_cast<std::size_t>(slot)];
+  if (const NodeIndex slot = children.first(); slot != kInvalidNode) {
+    next = e->reps[static_cast<std::size_t>(slot)];
   }
 
   // Groups without local copies may hold hints pointing at the vanished
   // leaf; send them the correction.
   for (std::uint32_t g = 0; g < topo_.num_l2(); ++g) {
-    if (e.children.contains(g)) continue;
+    if (children.contains(g)) continue;
     send(1, [this, g, gone, next, id](SimTime) {
       // The group's external pointer and its leaves' hints are corrected.
-      auto git = l2_state_[g].find(id);
-      if (git != l2_state_[g].end() && git->second.external == gone) {
-        git->second.external = next;
-      } else if (git == l2_state_[g].end() && next != kInvalidNode) {
-        l2_state_[g][id].external = next;
+      InternalState& state = l2_state_[g];
+      if (InternalEntry* ge = state.find(id)) {
+        if (ge->external == gone) ge->external = next;
+      } else if (next != kInvalidNode) {
+        state[id].external = next;
       }
       const std::uint32_t base = g * topo_.l1_per_l2();
       const std::uint32_t end =
@@ -215,7 +219,10 @@ void MetadataHierarchy::root_child_remove(std::uint32_t l2, NodeIndex gone,
     });
   }
 
-  if (e.empty()) root_state_.erase(it);
+  if (const InternalEntry* cur = root_state_.find(id);
+      cur != nullptr && cur->empty()) {
+    root_state_.erase(id);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,16 +13,19 @@
 // Leaves answer find_nearest() from their local bounded hint cache alone —
 // the design principle of never spending network hops to locate data. Hint
 // staleness is modeled with a configurable per-hop propagation delay; with
-// zero delay updates apply synchronously.
+// zero delay updates apply synchronously, so a handler's send() can run
+// other handlers (and touch any metadata map) before it returns. Handlers
+// therefore never use a pointer or reference into a metadata map after a
+// send(): they copy what they need first and look the entry up again after.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/node_set.h"
 #include "common/types.h"
 #include "hints/hint_cache.h"
@@ -92,14 +95,15 @@ class MetadataHierarchy {
     // group or more than 64 groups, and `1ULL << slot` past bit 63 is UB
     // that silently aliased distinct children.
     NodeSet children;
-    // One representative leaf holding a copy, per child subtree.
+    // Root only: one representative leaf holding a copy, per L2 group. An
+    // L2 node's child slot s is leaf l2 * l1_per_l2 + s itself.
     std::vector<NodeIndex> reps;
     // Nearest copy known outside this subtree (learned from the parent).
     NodeIndex external = kInvalidNode;
 
     bool empty() const { return children.empty() && external == kInvalidNode; }
   };
-  using InternalState = std::unordered_map<ObjectId, InternalEntry>;
+  using InternalState = FlatMap<InternalEntry>;
 
   // Runs `fn` now (zero delay) or after `hops` metadata hops.
   template <typename Fn>
@@ -116,7 +120,7 @@ class MetadataHierarchy {
   void leaf_forget(NodeIndex leaf, NodeIndex loc, ObjectId id);
 
   // First leaf with a copy in the L2 group, or kInvalidNode.
-  NodeIndex l2_representative(const InternalEntry& e, std::uint32_t l2) const;
+  NodeIndex l2_representative(const NodeSet& children, std::uint32_t l2) const;
 
   net::HierarchyTopology topo_;
   MetadataConfig cfg_;

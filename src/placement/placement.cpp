@@ -49,10 +49,10 @@ void UpdatePushPolicy::on_modify(Host& host, const Access& a,
 
 void UpdatePushPolicy::on_server_fetch(Host& host, const Access& a,
                                        NodeIndex fetcher) {
-  auto it = prior_holders_.find(a.object);
-  if (it == prior_holders_.end()) return;
-  NodeSet targets = it->second;
-  prior_holders_.erase(it);
+  const NodeSet* prior = prior_holders_.find(a.object);
+  if (prior == nullptr) return;
+  const NodeSet targets = *prior;
+  prior_holders_.erase(a.object);
   targets.for_each([&](NodeIndex n) {
     if (n == fetcher) return;
     // Respect the configured update-fetch bandwidth cap.
@@ -216,11 +216,11 @@ void AdaptiveGreedyPolicy::refresh_thresholds() {
 }
 
 double AdaptiveGreedyPolicy::demand_rate(ObjectId id, double now) const {
-  const auto it = demand_.find(id);
-  if (it == demand_.end()) return 0.0;
-  double rate = it->second.rate;
-  if (now > it->second.last) {
-    rate *= std::exp((it->second.last - now) / p_.adaptive_tau_seconds);
+  const Demand* d = demand_.find(id);
+  if (d == nullptr) return 0.0;
+  double rate = d->rate;
+  if (now > d->last) {
+    rate *= std::exp((d->last - now) / p_.adaptive_tau_seconds);
   }
   return rate;
 }

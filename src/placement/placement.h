@@ -30,9 +30,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/node_set.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -236,7 +236,7 @@ class UpdatePushPolicy final : public Policy {
   double max_bytes_per_sec_;
   double budget_used_ = 0;  // bytes of update push consumed so far
   // Holders of the stale version, awaiting the new version's first fetch.
-  std::unordered_map<ObjectId, NodeSet> prior_holders_;
+  FlatMap<NodeSet> prior_holders_;
 };
 
 // Section 4.1.1 hierarchical push on miss: when an object crosses the
@@ -299,7 +299,7 @@ class AdaptiveGreedyPolicy final : public Policy {
   void refresh_thresholds();
 
   PolicyParams p_;
-  std::unordered_map<ObjectId, Demand> demand_;
+  FlatMap<Demand> demand_;
   // Sliding window of recent observed densities; the acceptance thresholds
   // are its configured quantiles, refreshed every kRefreshEvery
   // observations. Until kMinSamples observations arrive the policy behaves

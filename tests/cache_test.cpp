@@ -49,6 +49,38 @@ TEST(LruCacheTest, EvictsMultipleToFit) {
   EXPECT_EQ(c.used_bytes(), 250u);
 }
 
+TEST(LruCacheTest, IndexStaysExactWhenOneInsertEvictsMany) {
+  // 200 entries of 10 bytes fill the cache; one 335-byte insert evicts the
+  // 34 least recently used. Each eviction erases from the index, which may
+  // move other index entries: the new entry is indexed only afterwards, and
+  // every survivor must still be found under its own id.
+  LruCache c(2000);
+  for (std::uint64_t k = 0; k < 200; ++k) c.insert(obj(k), 10, 1, false);
+  std::vector<std::uint64_t> evicted;
+  ASSERT_TRUE(c.insert(obj(1000), 335, 2, false,
+                       [&](const LruCache::Entry& e) {
+                         EXPECT_FALSE(c.contains(e.id));
+                         evicted.push_back(e.id.value);
+                       }));
+  ASSERT_EQ(evicted.size(), 34u);
+  for (std::uint64_t k = 0; k < 34; ++k) {
+    EXPECT_EQ(evicted[k], k);
+    EXPECT_EQ(c.peek(obj(k)), nullptr) << k;
+  }
+  for (std::uint64_t k = 34; k < 200; ++k) {
+    const LruCache::Entry* e = c.peek(obj(k));
+    ASSERT_NE(e, nullptr) << k;
+    EXPECT_EQ(e->id, obj(k));
+    EXPECT_EQ(e->size, 10u);
+  }
+  const LruCache::Entry* fresh = c.find(obj(1000));
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->size, 335u);
+  EXPECT_EQ(fresh->version, 2u);
+  EXPECT_EQ(c.object_count(), 167u);
+  EXPECT_EQ(c.used_bytes(), 166u * 10 + 335);
+}
+
 TEST(LruCacheTest, OversizedObjectIsNotCached) {
   LruCache c(100);
   EXPECT_FALSE(c.insert(obj(1), 101, 1, false));

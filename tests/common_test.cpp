@@ -6,8 +6,10 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/hash.h"
 #include "common/md5.h"
 #include "common/node_set.h"
@@ -261,6 +263,198 @@ TEST(NodeSetTest, InsertIsIdempotent) {
   s.insert(7);
   s.insert(7);
   EXPECT_EQ(s.size(), 1u);
+}
+
+TEST(NodeSetTest, AcrossTheInlineWordBoundary) {
+  // Members 0..63 live in the inline word, 64 and up in the overflow words.
+  NodeSet s;
+  EXPECT_EQ(s.first(), kInvalidNode);
+  for (NodeIndex n : {200u, 64u, 63u, 127u, 128u, 0u}) s.insert(n);
+  EXPECT_EQ(s.size(), 6u);
+  EXPECT_EQ(s.first(), 0u);
+  std::vector<NodeIndex> seen;
+  s.for_each([&](NodeIndex n) { seen.push_back(n); });
+  EXPECT_EQ(seen, (std::vector<NodeIndex>{0, 63, 64, 127, 128, 200}));
+
+  s.erase(0);
+  s.erase(63);
+  EXPECT_EQ(s.first(), 64u);  // the smallest member is now an overflow one
+  s.erase(64);
+  s.erase(127);
+  EXPECT_EQ(s.first(), 128u);
+  EXPECT_FALSE(s.contains(63));
+  EXPECT_FALSE(s.contains(1000));  // past every word: absent, no growth
+  s.erase(1000);
+  EXPECT_EQ(s.size(), 2u);
+  s.erase(128);
+  s.erase(200);
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.first(), kInvalidNode);
+}
+
+TEST(NodeSetTest, EqualityAcrossOverflowLengths) {
+  NodeSet inline_only, short_overflow, long_overflow;
+  for (NodeSet* s : {&inline_only, &short_overflow, &long_overflow}) {
+    s->insert(5);
+    s->insert(63);
+  }
+  short_overflow.insert(70);
+  short_overflow.erase(70);   // one overflow word, all zero
+  long_overflow.insert(640);
+  long_overflow.erase(640);   // ten overflow words, all zero
+  EXPECT_TRUE(inline_only == short_overflow);
+  EXPECT_TRUE(short_overflow == long_overflow);
+  EXPECT_TRUE(long_overflow == inline_only);
+
+  long_overflow.insert(640);
+  EXPECT_FALSE(inline_only == long_overflow);
+  EXPECT_FALSE(long_overflow == short_overflow);
+  inline_only.insert(64);
+  EXPECT_FALSE(inline_only == short_overflow);
+  short_overflow.insert(64);
+  EXPECT_TRUE(inline_only == short_overflow);
+  short_overflow.erase(5);  // differ only in the inline word
+  EXPECT_FALSE(inline_only == short_overflow);
+}
+
+// --- FlatMap ---
+
+using Reference = std::unordered_map<std::uint64_t, std::uint64_t>;
+
+// The map holds exactly the reference's entries: size, find for each key,
+// and for_each visiting each entry once.
+void expect_same(const FlatMap<std::uint64_t>& flat, const Reference& ref) {
+  ASSERT_EQ(flat.size(), ref.size());
+  for (const auto& [k, v] : ref) {
+    const std::uint64_t* got = flat.find(ObjectId{k});
+    ASSERT_NE(got, nullptr) << "key " << k;
+    EXPECT_EQ(*got, v) << "key " << k;
+  }
+  Reference seen;
+  flat.for_each([&](ObjectId id, const std::uint64_t& v) {
+    EXPECT_TRUE(seen.emplace(id.value, v).second) << "key " << id.value;
+  });
+  EXPECT_EQ(seen, ref);
+}
+
+// The first `n` keys (from 1 up) whose home slot in a table of `slots` slots
+// is one of its last two, so their probe run wraps past the array's end.
+std::vector<std::uint64_t> wrapping_keys(std::size_t slots, std::size_t n) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 1; keys.size() < n; ++k) {
+    if ((mix64(k) & (slots - 1)) >= slots - 2) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(FlatMapTest, KeyZeroIsAnOrdinaryKey) {
+  FlatMap<std::uint64_t> flat;
+  Reference ref;
+  EXPECT_EQ(flat.find(ObjectId{0}), nullptr);
+  EXPECT_FALSE(flat.erase(ObjectId{0}));
+  EXPECT_TRUE(flat.try_emplace(ObjectId{0}, 7).second);
+  EXPECT_FALSE(flat.try_emplace(ObjectId{0}, 8).second);  // kept, not replaced
+  ref[0] = 7;
+  for (std::uint64_t k = 1; k <= 40; ++k) {
+    flat[ObjectId{k}] = k * 3;
+    ref[k] = k * 3;
+  }
+  flat[ObjectId{0}] = 9;
+  ref[0] = 9;
+  expect_same(flat, ref);
+  EXPECT_TRUE(flat.contains(ObjectId{0}));
+  EXPECT_TRUE(flat.erase(ObjectId{0}));
+  EXPECT_FALSE(flat.erase(ObjectId{0}));
+  ref.erase(0);
+  expect_same(flat, ref);
+}
+
+TEST(FlatMapTest, WrappedClusterSurvivesEraseAndGrowth) {
+  // 13 keys homed on the last two of the first 16 slots fill one probe run
+  // that wraps from slot 14 through slot 10.
+  const std::vector<std::uint64_t> keys = wrapping_keys(16, 40);
+  FlatMap<std::uint64_t> flat;
+  Reference ref;
+  for (std::size_t i = 0; i < 13; ++i) {
+    flat[ObjectId{keys[i]}] = i;
+    ref[keys[i]] = i;
+  }
+  expect_same(flat, ref);
+  // Where linear probing put each key: slot -> index into `keys`.
+  std::vector<int> at(16, -1);
+  for (std::size_t i = 0; i < 13; ++i) {
+    std::size_t slot = mix64(keys[i]) & 15;
+    while (at[slot] != -1) slot = (slot + 1) & 15;
+    at[slot] = static_cast<int>(i);
+  }
+  // Erase at the wrap point (slots 15 and 0), from the middle of the run
+  // (slot 5) and at its head (slot 14); every key behind a hole must shift
+  // back and stay reachable.
+  for (std::size_t slot : {15u, 0u, 5u, 14u}) {
+    const std::uint64_t k = keys[static_cast<std::size_t>(at[slot])];
+    EXPECT_TRUE(flat.erase(ObjectId{k}));
+    EXPECT_FALSE(flat.erase(ObjectId{k}));
+    ref.erase(k);
+    expect_same(flat, ref);
+  }
+  // Refill the run and keep going: the table grows while the run is full,
+  // and the grown table's run wraps again.
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    flat.try_emplace(ObjectId{keys[i]}, 100 + i);
+    ref.try_emplace(keys[i], 100 + i);
+    expect_same(flat, ref);
+  }
+  for (std::size_t i = 0; i < keys.size(); i += 2) {
+    EXPECT_TRUE(flat.erase(ObjectId{keys[i]}));
+    ref.erase(keys[i]);
+  }
+  expect_same(flat, ref);
+  for (std::size_t i = 1; i < keys.size(); i += 2) {
+    EXPECT_TRUE(flat.erase(ObjectId{keys[i]}));
+    ref.erase(keys[i]);
+  }
+  expect_same(flat, ref);
+  EXPECT_EQ(flat.size(), 0u);
+}
+
+TEST(FlatMapTest, SeededOpsMatchUnorderedMap) {
+  // A small key space (0..511) makes inserts, overwrites and erases of the
+  // same keys collide constantly, across several growths.
+  Rng rng(0xF1A7);
+  FlatMap<std::uint64_t> flat;
+  Reference ref;
+  for (int step = 1; step <= 40000; ++step) {
+    const std::uint64_t k = rng.next_below(step < 20000 ? 512 : 64);
+    const std::uint64_t v = rng.next_u64();
+    switch (rng.next_below(4)) {
+      case 0: {
+        const auto [got, inserted] = flat.try_emplace(ObjectId{k}, v);
+        const auto [it, ref_inserted] = ref.try_emplace(k, v);
+        ASSERT_EQ(inserted, ref_inserted) << "step " << step;
+        ASSERT_EQ(*got, it->second) << "step " << step;
+        break;
+      }
+      case 1:
+        flat[ObjectId{k}] = v;
+        ref[k] = v;
+        break;
+      case 2: {
+        const std::uint64_t* got = flat.find(ObjectId{k});
+        const auto it = ref.find(k);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << "step " << step;
+        if (got != nullptr) {
+          ASSERT_EQ(*got, it->second) << "step " << step;
+        }
+        break;
+      }
+      default:
+        ASSERT_EQ(flat.erase(ObjectId{k}), ref.erase(k) == 1)
+            << "step " << step;
+        break;
+    }
+    if (step % 2000 == 0) expect_same(flat, ref);
+  }
+  expect_same(flat, ref);
 }
 
 // --- units & ids ---

@@ -154,6 +154,35 @@ TEST(DiskStoreTest, EvictsLeastRecentlyAccessedToFitBudget) {
   EXPECT_FALSE(store.contains(ObjectId{9}));
 }
 
+TEST(DiskStoreTest, EvictionOrderIsOldestFirstWithTiesByObjectId) {
+  // Each entry is 240 file bytes. A reopened store rescans its files with
+  // no access history, so every rescanned entry ties at the oldest access
+  // time; ties go in object-id order, and accessed entries after them.
+  const std::string root = fresh_root("evict_order");
+  {
+    DiskStore store(opts_for(root, 4 * 240));
+    for (std::uint64_t k : {7u, 3u, 9u, 5u}) {
+      ASSERT_TRUE(store.put(ObjectId{k}, body_of(k, 200)));
+    }
+  }
+  std::vector<std::uint64_t> evicted;
+  DiskStore store(opts_for(root, 3 * 240),
+                  [&](ObjectId id) { evicted.push_back(id.value); });
+  ASSERT_EQ(store.object_count(), 4u);
+  ASSERT_TRUE(store.get(ObjectId{3}).has_value());  // 3 leaves the tie
+  // Five entries over a three-entry budget: one put evicts two.
+  ASSERT_TRUE(store.put(ObjectId{11}, body_of(11, 200)));
+  EXPECT_EQ(evicted, (std::vector<std::uint64_t>{5, 7}));
+  ASSERT_TRUE(store.put(ObjectId{12}, body_of(12, 200)));
+  ASSERT_TRUE(store.put(ObjectId{13}, body_of(13, 200)));
+  EXPECT_EQ(evicted, (std::vector<std::uint64_t>{5, 7, 9, 3}));
+  EXPECT_EQ(store.stats().evictions, 4u);
+  for (std::uint64_t k : {11u, 12u, 13u}) {
+    EXPECT_TRUE(store.contains(ObjectId{k})) << k;
+  }
+  EXPECT_EQ(store.used_bytes(), 3u * 240);
+}
+
 TEST(DiskStoreTest, InterruptedWriteLeavesOldObjectAndSweepsTempOnReopen) {
   const std::string root = fresh_root("interrupted");
   {

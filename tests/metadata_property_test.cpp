@@ -91,7 +91,9 @@ TEST(MetadataPropertyTest, ChaosMaintainsStructuralInvariants) {
       for (NodeIndex leaf = 0; leaf < 32; leaf += 3) {
         for (std::uint64_t q = 0; q < 100; q += 7) {
           const auto near = meta.find_nearest(leaf, obj(q));
-          if (near) ASSERT_NE(*near, leaf);
+          if (near) {
+            ASSERT_NE(*near, leaf);
+          }
         }
       }
     }
@@ -116,7 +118,9 @@ TEST(MetadataPropertyTest, EvictionLeavesNoDanglingPointerToTheEvictee) {
     meta.invalidate(a, obj(o));
     for (NodeIndex leaf = 0; leaf < 32; ++leaf) {
       const auto near = meta.find_nearest(leaf, obj(o));
-      if (near) ASSERT_NE(*near, a) << "round " << round;
+      if (near) {
+        ASSERT_NE(*near, a) << "round " << round;
+      }
     }
     // Clean the slate for the next round.
     meta.invalidate_object(obj(o));
@@ -217,7 +221,9 @@ TEST(MetadataPropertyTest, DelayedChaosConvergesWhenDrained) {
   for (NodeIndex leaf = 0; leaf < 32; ++leaf) {
     for (std::uint64_t q = 0; q < 50; ++q) {
       const auto near = meta.find_nearest(leaf, obj(q));
-      if (near) EXPECT_NE(*near, leaf);
+      if (near) {
+        EXPECT_NE(*near, leaf);
+      }
     }
   }
 }

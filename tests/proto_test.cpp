@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hints/hint_record.h"
@@ -15,6 +16,14 @@ namespace {
 
 ObjectId obj(std::uint64_t v) { return ObjectId{v}; }
 MachineId mid(std::uint64_t v) { return MachineId{v}; }
+
+// A peer with default cache size, batch period and distance oracle.
+PeerConfig peer_config(MachineId self, std::vector<MachineId> neighbors) {
+  PeerConfig cfg;
+  cfg.self = self;
+  cfg.neighbors = std::move(neighbors);
+  return cfg;
+}
 
 // --- wire format ---
 
@@ -197,8 +206,8 @@ struct TwoPeers {
   HintPeer a, b;
 
   TwoPeers()
-      : a({mid(1), {mid(2)}}, net, 0xA),
-        b({mid(2), {mid(1)}}, net, 0xB) {}
+      : a(peer_config(mid(1), {mid(2)}), net, 0xA),
+        b(peer_config(mid(2), {mid(1)}), net, 0xB) {}
 
   void exchange() {
     a.flush();
@@ -253,9 +262,9 @@ TEST(HintPeerTest, BatchesAreMergedAndCounted) {
 TEST(HintPeerTest, RelaysAlongAChainButNotBack) {
   // a - b - c: updates from a must reach c via b, and never echo to a.
   LoopbackTransport net;
-  HintPeer a({mid(1), {mid(2)}}, net, 1);
-  HintPeer b({mid(2), {mid(1), mid(3)}}, net, 2);
-  HintPeer c({mid(3), {mid(2)}}, net, 3);
+  HintPeer a(peer_config(mid(1), {mid(2)}), net, 1);
+  HintPeer b(peer_config(mid(2), {mid(1), mid(3)}), net, 2);
+  HintPeer c(peer_config(mid(3), {mid(2)}), net, 3);
 
   a.inform(obj(7));
   a.flush();
@@ -277,8 +286,8 @@ TEST(HintPeerTest, DistanceFunctionKeepsNearestHint) {
                                    static_cast<double>(other.value));
                  }};
   HintPeer p(cfg, net, 4);
-  HintPeer src11({mid(11), {mid(10)}}, net, 5);
-  HintPeer src99({mid(99), {mid(10)}}, net, 6);
+  HintPeer src11(peer_config(mid(11), {mid(10)}), net, 5);
+  HintPeer src99(peer_config(mid(99), {mid(10)}), net, 6);
   src99.inform(obj(1));
   src99.flush();
   net.pump();
@@ -308,7 +317,7 @@ TEST(HintPeerTest, TimerFlushesWithinMaxPeriod) {
 
 TEST(HintPeerTest, MalformedMessageIsCountedNotApplied) {
   LoopbackTransport net;
-  HintPeer a({mid(1), {}}, net, 1);
+  HintPeer a(peer_config(mid(1), {}), net, 1);
   net.send(mid(9), mid(1), {'j', 'u', 'n', 'k'});
   net.pump();
   EXPECT_EQ(a.stats().malformed_messages, 1u);
@@ -320,8 +329,8 @@ TEST(HintPeerTest, SurvivesLossyNetwork) {
   // or a wrong application.
   LoopbackTransport inner;
   LossyTransport lossy(inner, 0.5, 77);
-  HintPeer a({mid(1), {mid(2)}}, lossy, 1);
-  HintPeer b({mid(2), {mid(1)}}, lossy, 2);
+  HintPeer a(peer_config(mid(1), {mid(2)}), lossy, 1);
+  HintPeer b(peer_config(mid(2), {mid(1)}), lossy, 2);
   int known = 0;
   for (std::uint64_t o = 1; o <= 200; ++o) {
     a.inform(obj(o));

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/experiment.h"
+#include "core/sweep.h"
 #include "net/cost_model.h"
 #include "net/topology.h"
 #include "placement/placement.h"
@@ -224,6 +228,125 @@ INSTANTIATE_TEST_SUITE_P(Shapes, TopologySweep,
                                            std::make_tuple(16u, 4u),
                                            std::make_tuple(64u, 8u),
                                            std::make_tuple(30u, 7u)));
+
+// --- golden pin: the six-architecture grid of the sim_sweep benchmark ---
+//
+// Every architecture's per-request state (LRU indexes, hint stores, metadata
+// maps, holder and directory sets, policy state) sits on the simulator's hot
+// path, so a container or bookkeeping change there must leave every figure
+// bit-identical. These rows were captured from the std::unordered_map
+// implementation (DEC trace scaled 1/1024, seed 1313, testbed costs, 5 GB *
+// scale per node). Means are exact hex-float literals.
+
+struct GridRow {
+  const char* name;
+  core::SystemKind system;
+  const char* push;
+};
+
+constexpr GridRow kGrid[] = {
+    {"hierarchy", core::SystemKind::kHierarchy, "none"},
+    {"directory", core::SystemKind::kDirectory, "none"},
+    {"icp", core::SystemKind::kIcp, "none"},
+    {"hints", core::SystemKind::kHints, "none"},
+    {"hints-push-half", core::SystemKind::kHints, "push-half"},
+    {"hints-adaptive-greedy", core::SystemKind::kHints, "adaptive-greedy"},
+};
+
+struct GoldenRow {
+  std::string_view name;
+  double mean_ms;
+  std::uint64_t requests, hits_l1, hits_remote_l2, hits_remote_l3, hits_l2,
+      hits_l3, server_fetches, false_positives, false_negatives, pushed_hits,
+      hit_bytes;
+  // Architecture extras; 0 where an architecture has no such counter.
+  std::uint64_t root_updates, meta_messages, copies_pushed, directory_updates,
+      icp_queries;
+
+  friend bool operator==(const GoldenRow&, const GoldenRow&) = default;
+};
+
+GoldenRow golden_row_of(const char* name, const core::ExperimentResult& r) {
+  const core::Metrics& m = r.metrics;
+  return {name,
+          m.mean_response_ms(),
+          m.requests,
+          m.hits_l1,
+          m.hits_remote_l2,
+          m.hits_remote_l3,
+          m.hits_l2,
+          m.hits_l3,
+          m.server_fetches,
+          m.false_positives,
+          m.false_negatives,
+          m.pushed_hits,
+          m.hit_bytes,
+          r.root_updates,
+          r.meta_messages,
+          r.push.copies_pushed,
+          r.directory_updates,
+          r.icp_queries};
+}
+
+// The row as a C++ initializer, for the failure message.
+std::string golden_literal(const GoldenRow& g) {
+  std::ostringstream out;
+  out << "{\"" << g.name << "\", " << std::hexfloat << g.mean_ms;
+  for (std::uint64_t v :
+       {g.requests, g.hits_l1, g.hits_remote_l2, g.hits_remote_l3, g.hits_l2,
+        g.hits_l3, g.server_fetches, g.false_positives, g.false_negatives,
+        g.pushed_hits, g.hit_bytes, g.root_updates, g.meta_messages,
+        g.copies_pushed, g.directory_updates, g.icp_queries}) {
+    out << ", " << v << "ull";
+  }
+  out << "},";
+  return out.str();
+}
+
+class SweepGridGolden : public ::testing::TestWithParam<int> {};
+
+TEST_P(SweepGridGolden, EveryArchitectureBitIdentical) {
+  constexpr double kGridScale = 1.0 / 1024.0;
+  auto workload = trace::dec_workload().scaled(kGridScale);
+  workload.seed = 1313;
+  const auto records = trace::TraceGenerator(workload).generate_all();
+  std::vector<core::ExperimentConfig> configs;
+  for (const GridRow& row : kGrid) {
+    core::ExperimentConfig cfg;
+    cfg.workload = workload;
+    cfg.cost_model = "testbed";
+    cfg.system = row.system;
+    cfg.hints.push_policy = row.push;
+    const auto cap = std::uint64_t(5.0 * kGridScale * double(1_GB));
+    cfg.baseline_node_capacity = cap;
+    cfg.hints.l1_capacity = cap;
+    configs.push_back(cfg);
+  }
+
+  static const GoldenRow kGolden[] = {
+      {"hierarchy", 0x1.566a0b1cc4529p+9, 18995ull, 9655ull, 0ull, 0ull, 2166ull, 632ull, 6542ull, 0ull, 0ull, 0ull, 92813263ull, 0ull, 0ull, 0ull, 0ull, 0ull},
+      {"directory", 0x1.2ec9722604061p+8, 18995ull, 9655ull, 3876ull, 1307ull, 0ull, 0ull, 4157ull, 0ull, 0ull, 0ull, 116102736ull, 0ull, 0ull, 0ull, 10525ull, 0ull},
+      {"icp", 0x1.2f0e36351986bp+9, 18995ull, 9655ull, 3876ull, 0ull, 0ull, 483ull, 4981ull, 0ull, 0ull, 0ull, 108179386ull, 0ull, 0ull, 0ull, 0ull, 72569ull},
+      {"hints", 0x1.f674bb5a157dcp+7, 18995ull, 9655ull, 3867ull, 1309ull, 0ull, 0ull, 4164ull, 0ull, 7ull, 0ull, 116074353ull, 4672ull, 96379ull, 0ull, 0ull, 0ull},
+      {"hints-push-half", 0x1.e6797804076b9p+7, 18995ull, 10768ull, 2052ull, 1303ull, 0ull, 0ull, 4872ull, 0ull, 402ull, 5535ull, 109265188ull, 8076ull, 178216ull, 11547ull, 0ull, 0ull},
+      {"hints-adaptive-greedy", 0x1.e39a1b0ea2246p+7, 18995ull, 10945ull, 2385ull, 1313ull, 0ull, 0ull, 4352ull, 0ull, 171ull, 5240ull, 113954416ull, 6071ull, 130559ull, 8871ull, 0ull, 0ull},
+  };
+
+  const auto results = core::run_sweep_on(records, configs, {GetParam()});
+  ASSERT_EQ(results.size(), std::size(kGrid));
+  ASSERT_EQ(std::size(kGolden), std::size(kGrid));
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const GoldenRow got = golden_row_of(kGrid[i].name, results[i]);
+    EXPECT_TRUE(got == kGolden[i])
+        << "pinned: " << golden_literal(kGolden[i])
+        << "\nactual: " << golden_literal(got);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, SweepGridGolden, ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return "jobs" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace bh

@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -76,10 +77,23 @@ struct ExtentFixture {
   std::string path;
   std::shared_ptr<const FdRef> fd;
 
+  ExtentFixture() = default;
+  ExtentFixture(ExtentFixture&& other) noexcept
+      : path(std::exchange(other.path, {})), fd(std::move(other.fd)) {}
+  ExtentFixture& operator=(ExtentFixture&&) = delete;
+  // Removes the file if the test has not; open extents keep the inode.
+  ~ExtentFixture() {
+    if (!path.empty()) ::unlink(path.c_str());
+  }
+
   static std::optional<ExtentFixture> create(const std::string& name,
                                              const std::string& bytes) {
     ExtentFixture fx;
-    fx.path = ::testing::TempDir() + "/bh_zc_" + name;
+    // Per-process name: ctest runs each backend's instance of a test as its
+    // own process at the same time, and a shared path would let one
+    // instance truncate the file the other is serving.
+    fx.path = ::testing::TempDir() + "/bh_zc_" + name + "_" +
+              std::to_string(::getpid());
     const int wfd =
         ::open(fx.path.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
     if (wfd < 0) return std::nullopt;
