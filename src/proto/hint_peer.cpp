@@ -1,14 +1,25 @@
 #include "proto/hint_peer.h"
 
-#include <algorithm>
-
 namespace bh::proto {
+namespace {
+
+// The relay measures distance from this peer; PeerConfig's oracle takes the
+// pair.
+std::function<double(MachineId)> distance_from(const PeerConfig& cfg) {
+  if (!cfg.distance) return {};
+  return [distance = cfg.distance, self = cfg.self](MachineId other) {
+    return distance(self, other);
+  };
+}
+
+}  // namespace
 
 HintPeer::HintPeer(PeerConfig cfg, Transport& transport, std::uint64_t seed)
     : cfg_(std::move(cfg)),
       transport_(transport),
       rng_(seed ^ cfg_.self.value),
-      store_(hints::make_hint_store(cfg_.hint_cache_bytes)) {
+      store_(hints::make_hint_store(cfg_.hint_cache_bytes)),
+      relay_(cfg_.self, HintRelay::kDefaultMaxHops, distance_from(cfg_)) {
   transport_.bind(cfg_.self, [this](MachineId from,
                                     std::span<const std::uint8_t> bytes) {
     handle_message(from, bytes);
@@ -16,20 +27,10 @@ HintPeer::HintPeer(PeerConfig cfg, Transport& transport, std::uint64_t seed)
   schedule_next(0.0);
 }
 
-void HintPeer::inform(ObjectId id) {
-  pending_.push_back(
-      {HintUpdate{Action::kInform, id, cfg_.self}, MachineId{0}});
-}
+void HintPeer::inform(ObjectId id) { relay_.originate(Action::kInform, id); }
 
 void HintPeer::invalidate(ObjectId id) {
-  // Our own copy is gone; if the hint cache pointed at us (it should not,
-  // but a neighbour's advertisement could have landed), drop it and fall
-  // back to the next best location advertised later.
-  if (auto cur = store_->lookup(id); cur && *cur == cfg_.self) {
-    store_->erase(id);
-  }
-  pending_.push_back(
-      {HintUpdate{Action::kInvalidate, id, cfg_.self}, MachineId{0}});
+  relay_.originate(Action::kInvalidate, id);
 }
 
 std::optional<MachineId> HintPeer::find_nearest(ObjectId id) {
@@ -38,42 +39,16 @@ std::optional<MachineId> HintPeer::find_nearest(ObjectId id) {
 
 void HintPeer::handle_message(MachineId from,
                               std::span<const std::uint8_t> bytes) {
-  auto updates = decode_post(bytes);
+  int hops = 0;
+  const auto updates = decode_post(bytes, &hops);
   if (!updates) {
     ++stats_.malformed_messages;
     return;
   }
   for (const HintUpdate& u : *updates) {
     ++stats_.updates_received;
-    apply(u);
-    // Re-advertise in the next period to everyone but the sender.
-    pending_.push_back({u, from});
-  }
-}
-
-void HintPeer::apply(const HintUpdate& u) {
-  if (u.location == cfg_.self) return;  // about ourselves; nothing to learn
-  switch (u.action) {
-    case Action::kInform: {
-      if (auto cur = store_->lookup(u.object)) {
-        if (cfg_.distance &&
-            cfg_.distance(cfg_.self, *cur) <=
-                cfg_.distance(cfg_.self, u.location)) {
-          return;  // existing hint at least as close
-        }
-        if (!cfg_.distance) return;  // first hint wins when all are equal
-      }
-      store_->insert(u.object, u.location);
-      ++stats_.updates_applied;
-      break;
-    }
-    case Action::kInvalidate: {
-      if (auto cur = store_->lookup(u.object); cur && *cur == u.location) {
-        store_->erase(u.object);
-        ++stats_.updates_applied;
-      }
-      break;
-    }
+    stats_.updates_applied += relay_.apply(*store_, u);
+    relay_.receive(u, from, hops);
   }
 }
 
@@ -84,26 +59,17 @@ void HintPeer::on_timer(SimTime now) {
 }
 
 void HintPeer::flush() {
-  if (pending_.empty()) return;
+  std::vector<HintRelay::Pending> pending = relay_.drain();
+  HintRelay::coalesce(pending);
   for (MachineId nb : cfg_.neighbors) {
-    std::vector<HintUpdate> batch;
-    batch.reserve(pending_.size());
-    for (const Pending& p : pending_) {
-      if (p.exclude == nb) continue;
-      // Merge duplicates within the batch.
-      if (std::find(batch.begin(), batch.end(), p.update) != batch.end()) {
-        continue;
-      }
-      batch.push_back(p.update);
+    for (const HintRelay::Batch& batch : HintRelay::batches_for(pending, nb)) {
+      std::vector<std::uint8_t> message = encode_post(batch.updates, batch.hops);
+      stats_.updates_sent += batch.updates.size();
+      stats_.bytes_sent += message.size();
+      ++stats_.batches_sent;
+      transport_.send(cfg_.self, nb, std::move(message));
     }
-    if (batch.empty()) continue;
-    std::vector<std::uint8_t> message = encode_post(batch);
-    stats_.updates_sent += batch.size();
-    stats_.bytes_sent += message.size();
-    ++stats_.batches_sent;
-    transport_.send(cfg_.self, nb, std::move(message));
   }
-  pending_.clear();
 }
 
 void HintPeer::schedule_next(SimTime now) {

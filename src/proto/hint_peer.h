@@ -1,11 +1,12 @@
-// A protocol peer: one cache's hint module (Section 3.2).
+// A protocol peer: one cache's hint module (Section 3.2) over a Transport.
 //
 // Each peer owns the prototype hint-cache structure and exchanges batched
-// 20-byte updates with its neighbours over a Transport. Updates observed in
-// the current period — locally generated or received — are re-advertised in
-// the next batch to every neighbour except the one they arrived from, which
-// is loop-free as long as the neighbour graph is a tree (the hint hierarchy
-// is). Batches go out at randomized intervals drawn uniformly from
+// 20-byte updates with its neighbours. The propagation rule itself — the
+// nearest-copy decision, the relay queue with its provenance, the hop bound,
+// the seen-set and pair coalescing — is the shared proto::HintRelay, the
+// same core the proxy daemon runs, so relaying is loop-free on any
+// neighbour graph. The peer adds only the glue: a hint store, the transport,
+// and batches sent at randomized intervals drawn uniformly from
 // [0, max_period] to avoid the synchronization capture effects Floyd and
 // Jacobson observed in periodic routing traffic.
 #pragma once
@@ -18,6 +19,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "hints/hint_cache.h"
+#include "proto/hint_relay.h"
 #include "proto/transport.h"
 #include "proto/wire.h"
 
@@ -68,20 +70,14 @@ class HintPeer {
   MachineId self() const { return cfg_.self; }
 
  private:
-  struct Pending {
-    HintUpdate update;
-    MachineId exclude;  // neighbour the update came from (0 = none)
-  };
-
   void handle_message(MachineId from, std::span<const std::uint8_t> bytes);
-  void apply(const HintUpdate& u);
   void schedule_next(SimTime now);
 
   PeerConfig cfg_;
   Transport& transport_;
   Rng rng_;
   std::unique_ptr<hints::HintStore> store_;
-  std::vector<Pending> pending_;
+  HintRelay relay_;
   SimTime next_flush_at_ = 0;
   PeerStats stats_;
 };

@@ -29,6 +29,20 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 constexpr std::string_view kRequestLine = "POST /updates HTTP/1.0\r\n";
 
+// The value of header `name` in a header block, up to its line end with
+// leading spaces skipped; nullopt when absent.
+std::optional<std::string_view> header_value(std::string_view headers,
+                                             std::string_view name) {
+  std::size_t pos = headers.find(name);
+  if (pos == std::string_view::npos ||
+      headers.substr(pos + name.size(), 1) != ":") {
+    return std::nullopt;
+  }
+  pos += name.size() + 1;
+  while (pos < headers.size() && headers[pos] == ' ') ++pos;
+  return headers.substr(pos, headers.find("\r\n", pos) - pos);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_body(std::span<const HintUpdate> updates) {
@@ -112,10 +126,21 @@ std::optional<std::vector<std::uint16_t>> decode_push_targets(
   return out;
 }
 
-std::vector<std::uint8_t> encode_post(std::span<const HintUpdate> updates) {
+int parse_hops(std::string_view value) {
+  std::uint64_t parsed = 0;
+  const auto [end, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), parsed);
+  const bool ok = ec == std::errc{} && end == value.data() + value.size();
+  return ok ? static_cast<int>(std::min<std::uint64_t>(parsed, kMaxHopValue))
+            : 0;
+}
+
+std::vector<std::uint8_t> encode_post(std::span<const HintUpdate> updates,
+                                      int hops) {
   const std::vector<std::uint8_t> body = encode_body(updates);
   std::string header(kRequestLine);
-  header += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
+  header += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+  header += std::string(kHopHeader) + ": " + std::to_string(hops) + "\r\n\r\n";
   std::vector<std::uint8_t> out;
   out.reserve(header.size() + body.size());
   out.insert(out.end(), header.begin(), header.end());
@@ -124,28 +149,25 @@ std::vector<std::uint8_t> encode_post(std::span<const HintUpdate> updates) {
 }
 
 std::optional<std::vector<HintUpdate>> decode_post(
-    std::span<const std::uint8_t> message) {
+    std::span<const std::uint8_t> message, int* hops) {
   const std::string_view text(reinterpret_cast<const char*>(message.data()),
                               message.size());
   if (!text.starts_with(kRequestLine)) return std::nullopt;
   const std::size_t header_end = text.find("\r\n\r\n");
   if (header_end == std::string_view::npos) return std::nullopt;
 
-  // Find Content-Length among the headers.
   const std::string_view headers =
       text.substr(kRequestLine.size(), header_end - kRequestLine.size());
-  constexpr std::string_view kField = "Content-Length:";
-  std::size_t pos = headers.find(kField);
-  if (pos == std::string_view::npos) return std::nullopt;
-  pos += kField.size();
-  while (pos < headers.size() && headers[pos] == ' ') ++pos;
+  const auto length = header_value(headers, "Content-Length");
+  if (!length) return std::nullopt;
   std::size_t len = 0;
   const auto [ptr, ec] =
-      std::from_chars(headers.data() + pos, headers.data() + headers.size(), len);
+      std::from_chars(length->data(), length->data() + length->size(), len);
   if (ec != std::errc{}) return std::nullopt;
 
   const std::size_t body_off = header_end + 4;
   if (message.size() - body_off != len) return std::nullopt;
+  if (hops) *hops = parse_hops(header_value(headers, kHopHeader).value_or(""));
   return decode_body(message.subspan(body_off));
 }
 

@@ -71,12 +71,26 @@ std::string encode_push_targets(std::span<const std::uint16_t> ports);
 std::optional<std::vector<std::uint16_t>> decode_push_targets(
     std::string_view value);
 
-// Wraps a body in the POST framing the prototype uses.
-std::vector<std::uint8_t> encode_post(std::span<const HintUpdate> updates);
+// Header carrying a batch's relay depth: how many relays its updates have
+// already undergone (0 = the sender originated them).
+inline constexpr std::string_view kHopHeader = "X-Hop";
+// Largest depth an X-Hop value can carry; larger values clamp to it.
+inline constexpr int kMaxHopValue = 1024;
+
+// Parses an X-Hop value. A malformed value reads as 0 and anything above
+// kMaxHopValue clamps, so a bad header can never disable the hop bound's
+// arithmetic.
+int parse_hops(std::string_view value);
+
+// Wraps a body in the POST framing the prototype uses, with the batch's
+// relay depth in the X-Hop header.
+std::vector<std::uint8_t> encode_post(std::span<const HintUpdate> updates,
+                                      int hops = 0);
 
 // Parses a full POST message; validates the request line, the target URL
-// ("/updates"), and Content-Length.
+// ("/updates"), and Content-Length. When `hops` is given it receives the
+// X-Hop depth (parse_hops; 0 when the header is absent).
 std::optional<std::vector<HintUpdate>> decode_post(
-    std::span<const std::uint8_t> message);
+    std::span<const std::uint8_t> message, int* hops = nullptr);
 
 }  // namespace bh::proto

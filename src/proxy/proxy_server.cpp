@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -87,15 +86,10 @@ ProxyServer::ProxyServer(ProxyConfig cfg)
       demote_ms_(registry_.histogram("bh.proxy.disk.demote_ms")),
       promote_ms_(registry_.histogram("bh.proxy.disk.promote_ms")) {
   // Resolve the placement policy first: an unknown name throws before any
-  // thread or socket exists. The legacy push_on_peer_fetch switch is an
-  // alias for "push-all" (push to every other neighbour), its old meaning.
-  {
-    std::string policy = cfg_.push_policy;
-    if (policy == "none" && cfg_.push_on_peer_fetch) policy = "push-all";
-    push_policy_ = placement::make_policy(policy, cfg_.push_params);
-    push_enabled_ = push_policy_->name() != "none";
-    push_rng_ = Rng(mix64(std::hash<std::string>{}(cfg_.name)) ^ 0x9A9A);
-  }
+  // thread or socket exists.
+  push_policy_ = placement::make_policy(cfg_.push_policy, cfg_.push_params);
+  push_enabled_ = push_policy_->name() != "none";
+  push_rng_ = Rng(mix64(std::hash<std::string>{}(cfg_.name)) ^ 0x9A9A);
 
   // Persistence first: a bad disk root fails construction before any thread
   // exists, and the hint table is warm before the first request can arrive.
@@ -110,9 +104,7 @@ ProxyServer::ProxyServer(ProxyConfig cfg)
           // A disk eviction is the object leaving the node entirely (the
           // RAM copy, if any, was already demoted away): advertise the
           // non-presence. Lock order: DiskStore mutex before queue_mu_.
-          std::lock_guard lock(queue_mu_);
-          queue_update_locked(proto::Action::kInvalidate, victim, self(),
-                              MachineId{0});
+          advertise(proto::Action::kInvalidate, victim);
         });
   }
   load_hint_image();
@@ -124,6 +116,12 @@ ProxyServer::ProxyServer(ProxyConfig cfg)
         (cfg_.listen_port != 0 ? " (port in use?)" : ""));
   }
   port_ = listener_->port();
+  relay_.emplace(self(), cfg_.max_hint_hops,
+                 cfg_.distance ? std::function<double(MachineId)>(
+                                     [d = cfg_.distance](MachineId m) {
+                                       return d(m.value);
+                                     })
+                               : nullptr);
   reactor_ = std::make_unique<Reactor>(cfg_.io_backend);
   reactor_->io().set_submit_observer(
       [this](unsigned batch) { sqe_batch_.record(batch); });
@@ -334,7 +332,7 @@ obs::MetricsSnapshot ProxyServer::metrics_snapshot() const {
   {
     std::lock_guard lock(queue_mu_);
     registry_.gauge("bh.proxy.pending_updates")
-        .set(static_cast<double>(pending_.size()));
+        .set(static_cast<double>(relay_->pending()));
   }
   {
     std::lock_guard lock(pool_mu_);
@@ -651,10 +649,7 @@ void ProxyServer::store_internal(ObjectId id, cache::BodyPtr body,
     demote_ms_.record(std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count());
-    if (ok && advertise) {
-      std::lock_guard lock(queue_mu_);
-      queue_update_locked(proto::Action::kInform, id, self(), MachineId{0});
-    }
+    if (ok && advertise) this->advertise(proto::Action::kInform, id);
     return;
   }
 
@@ -672,14 +667,11 @@ void ProxyServer::store_internal(ObjectId id, cache::BodyPtr body,
           demote.emplace_back(victim, std::move(victim_body));
           return;
         }
-        std::lock_guard lock(queue_mu_);
-        queue_update_locked(proto::Action::kInvalidate, victim.id, self(),
-                            MachineId{0});
+        this->advertise(proto::Action::kInvalidate, victim.id);
       });
   if (outcome == cache::ShardedLruCache::InsertOutcome::kInserted &&
       advertise) {
-    std::lock_guard lock(queue_mu_);
-    queue_update_locked(proto::Action::kInform, id, self(), MachineId{0});
+    this->advertise(proto::Action::kInform, id);
   }
   for (auto& [victim, victim_body] : demote) {
     demote_to_disk(victim, std::move(victim_body));
@@ -705,16 +697,12 @@ void ProxyServer::demote_to_disk(const cache::LruCache::Entry& victim,
             c_.disk_demotions.inc();
             return;
           }
-          std::lock_guard lock(queue_mu_);
-          queue_update_locked(proto::Action::kInvalidate, id, self(),
-                              MachineId{0});
+          advertise(proto::Action::kInvalidate, id);
         });
     if (!queued) {
       // Queue full (or stopped): the demotion is shed and the object has
       // left the node — say so now rather than after a blocking write.
-      std::lock_guard lock(queue_mu_);
-      queue_update_locked(proto::Action::kInvalidate, victim.id, self(),
-                          MachineId{0});
+      advertise(proto::Action::kInvalidate, victim.id);
     }
     return;
   }
@@ -731,9 +719,7 @@ void ProxyServer::demote_to_disk(const cache::LruCache::Entry& victim,
     return;
   }
   // The write failed: the object has left the node after all.
-  std::lock_guard lock(queue_mu_);
-  queue_update_locked(proto::Action::kInvalidate, victim.id, self(),
-                      MachineId{0});
+  advertise(proto::Action::kInvalidate, victim.id);
 }
 
 // ---------------------------------------------------------------------------
@@ -753,12 +739,8 @@ HttpResponse ProxyServer::handle_updates(const HttpRequest& req) {
   if (auto f = req.header("X-From")) {
     if (auto port = parse_port(*f)) from = MachineId{*port};
   }
-  int hops = 0;
-  if (auto h = req.header("X-Hop")) {
-    if (auto parsed = parse_u64(*h)) {
-      hops = static_cast<int>(std::min<std::uint64_t>(*parsed, 1024));
-    }
-  }
+  const int hops =
+      proto::parse_hops(req.header(proto::kHopHeader).value_or(""));
 
   // Apply the whole batch through one striped-store pass: ids are grouped
   // by stripe and each stripe lock is taken once per batch, instead of a
@@ -767,51 +749,24 @@ HttpResponse ProxyServer::handle_updates(const HttpRequest& req) {
     std::vector<ObjectId> ids;
     ids.reserve(updates->size());
     for (const proto::HintUpdate& u : *updates) ids.push_back(u.object);
-    using Decision = hints::HintStore::BatchDecision;
-    hints_->apply_batch(
-        ids, [&](std::size_t i, std::optional<MachineId> cur) -> Decision {
-          const proto::HintUpdate& u = (*updates)[i];
-          if (u.location == self()) return Decision::keep();
-          switch (u.action) {
-            case proto::Action::kInform: {
-              // Keep the nearest known copy; without a distance oracle the
-              // first hint wins.
-              bool replace = !cur.has_value();
-              if (cur && cfg_.distance) {
-                replace = cfg_.distance(u.location.value) <
-                          cfg_.distance(cur->value);
-              }
-              if (replace) return Decision::insert_loc(u.location);
-              break;
-            }
-            case proto::Action::kInvalidate: {
-              if (cur && *cur == u.location) return Decision::erase_hint();
-              break;
-            }
-          }
-          return Decision::keep();
-        });
+    hints_->apply_batch(ids, [&](std::size_t i, std::optional<MachineId> cur) {
+      return relay_->decide((*updates)[i], cur);
+    });
   }
 
+  // Re-advertise to the other neighbours next flush — at most once per
+  // distinct update (the seen-set kills cycles), never for updates about
+  // ourselves, and never past the hop bound.
+  c_.updates_received.inc(updates->size());
+  std::lock_guard lock(queue_mu_);
+  const std::size_t before = relay_->pending();
   for (const proto::HintUpdate& u : *updates) {
-    c_.updates_received.inc();
-    // Re-advertise to the other neighbours next flush — at most once per
-    // distinct update (the seen-set kills cycles), never for updates about
-    // ourselves, and never past the hop bound.
-    std::lock_guard lock(queue_mu_);
-    const bool fresh = note_seen_locked(u);
-    if (!fresh) {
-      c_.updates_deduped.inc();
-      continue;
-    }
-    if (u.location == self()) continue;
-    const int next_hops = hops + 1;
-    if (next_hops >= cfg_.max_hint_hops) {
-      c_.updates_hop_capped.inc();
-      continue;
-    }
-    enqueue_pending_locked({u, from, next_hops});
+    using Verdict = proto::HintRelay::Verdict;
+    const Verdict verdict = relay_->receive(u, from, hops);
+    if (verdict == Verdict::kDuplicate) c_.updates_deduped.inc();
+    if (verdict == Verdict::kHopCapped) c_.updates_hop_capped.inc();
   }
+  note_queued_locked(before);
   resp.body = "ok";
   return resp;
 }
@@ -846,14 +801,8 @@ HttpResponse ProxyServer::handle_push(const HttpRequest& req) {
   if (auto header = req.header("X-Push-Targets")) {
     if (auto ports = proto::decode_push_targets(*header)) {
       for (const std::uint16_t p : *ports) {
-        if (p == port_ || p == 0) continue;
-        const MachineId loc{p};
-        const auto cur = hints_->lookup(*id);
-        bool replace = !cur.has_value();
-        if (cur && cfg_.distance) {
-          replace = cfg_.distance(loc.value) < cfg_.distance(cur->value);
-        }
-        if (replace) hints_->insert(*id, loc);
+        if (p == 0) continue;
+        relay_->apply(*hints_, {proto::Action::kInform, *id, MachineId{p}});
       }
     }
   }
@@ -932,61 +881,26 @@ void ProxyServer::push_to_peers(ObjectId id, const cache::Body& body,
 }
 
 // ---------------------------------------------------------------------------
-// outbound batching: coalescing + the flusher thread
+// outbound batching: the relay queue + the flusher thread
 // ---------------------------------------------------------------------------
 
-std::size_t ProxyServer::coalesce(std::vector<PendingUpdate>& pending) {
-  // A queued inform whose matching invalidate is also still queued (or the
-  // reverse) is a net no-op for every receiver: whatever hint state a
-  // receiver had for that (object, location) pair, applying both updates
-  // returns it there. Only pairs with identical relay provenance (exclude
-  // and hop count) may retire each other — otherwise one receiver set could
-  // be skipped for half of the pair. Updates for the same pair alternate
-  // inform/invalidate in queue order (an insert can only follow an eviction
-  // and vice versa), so greedy matching against the most recent open entry
-  // is exact.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> open;
-  std::vector<char> dead(pending.size(), 0);
-  std::size_t retired = 0;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    auto& stack = open[proto::pair_key(pending[i].update)];
-    bool matched = false;
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      const PendingUpdate& o = pending[*it];
-      if (o.update.action != pending[i].update.action &&
-          o.exclude.value == pending[i].exclude.value &&
-          o.hops == pending[i].hops) {
-        dead[*it] = 1;
-        dead[i] = 1;
-        retired += 2;
-        stack.erase(std::next(it).base());
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) stack.push_back(i);
-  }
-  if (retired == 0) return 0;
-  std::vector<PendingUpdate> kept;
-  kept.reserve(pending.size() - retired);
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (!dead[i]) kept.push_back(std::move(pending[i]));
-  }
-  pending.swap(kept);
-  return retired;
+void ProxyServer::advertise(proto::Action action, ObjectId id) {
+  std::lock_guard lock(queue_mu_);
+  const std::size_t before = relay_->pending();
+  relay_->originate(action, id);
+  note_queued_locked(before);
 }
 
-void ProxyServer::enqueue_pending_locked(PendingUpdate update) {
-  if (pending_.empty()) {
-    oldest_pending_ = std::chrono::steady_clock::now();
-  }
-  pending_.push_back(std::move(update));
-  // Wake the flusher when a trigger could now be armed. Size: at the
-  // threshold exactly (later pushes would be redundant wakeups). Age: on the
+void ProxyServer::note_queued_locked(std::size_t before) {
+  const std::size_t after = relay_->pending();
+  if (after == before) return;
+  if (before == 0) oldest_pending_ = std::chrono::steady_clock::now();
+  // Wake the flusher when a trigger could now be armed. Size: on crossing
+  // the threshold (later growth would be redundant wakeups). Age: on the
   // first pending update, to start the wait_until clock.
-  if ((cfg_.flush_max_pending > 0 &&
-       pending_.size() == cfg_.flush_max_pending) ||
-      (cfg_.flush_interval_seconds > 0 && pending_.size() == 1)) {
+  if ((cfg_.flush_max_pending > 0 && before < cfg_.flush_max_pending &&
+       after >= cfg_.flush_max_pending) ||
+      (cfg_.flush_interval_seconds > 0 && before == 0)) {
     queue_cv_.notify_one();
   }
 }
@@ -1007,9 +921,9 @@ void ProxyServer::flusher_loop() {
   std::unique_lock lock(queue_mu_);
   while (!stopping_.load()) {
     const bool size_due = cfg_.flush_max_pending > 0 &&
-                          pending_.size() >= cfg_.flush_max_pending;
+                          relay_->pending() >= cfg_.flush_max_pending;
     const bool age_armed =
-        !pending_.empty() && cfg_.flush_interval_seconds > 0;
+        relay_->pending() > 0 && cfg_.flush_interval_seconds > 0;
     const bool age_due =
         age_armed && std::chrono::steady_clock::now() >=
                          oldest_pending_ + interval;
@@ -1051,13 +965,13 @@ void ProxyServer::flush_hints() {
   // pair on the wire. Order: flush_send_mu_ before queue_mu_; no path takes
   // them the other way around.
   std::lock_guard send_lock(flush_send_mu_);
-  std::vector<PendingUpdate> pending;
+  std::vector<proto::HintRelay::Pending> pending;
   {
     std::lock_guard lock(queue_mu_);
-    pending.swap(pending_);
+    pending = relay_->drain();
   }
   if (pending.empty()) return;
-  const std::size_t retired = coalesce(pending);
+  const std::size_t retired = proto::HintRelay::coalesce(pending);
   if (retired > 0) c_.updates_coalesced.inc(retired);
   if (pending.empty()) return;
   c_.flushes.inc();
@@ -1069,24 +983,15 @@ void ProxyServer::flush_hints() {
     // Quarantined neighbours are skipped outright; hint traffic is soft
     // state, so the dropped batch only costs hit rate, never correctness.
     if (!peer_usable(nb)) continue;
-    // One POST per relay depth, so the receiver can hop-bound exactly what
-    // it relays. In practice a batch spans one or two depths.
-    std::map<int, std::vector<proto::HintUpdate>> batches;
-    for (const PendingUpdate& p : pending) {
-      if (p.exclude.value == nb) continue;
-      auto& batch = batches[p.hops];
-      if (std::find(batch.begin(), batch.end(), p.update) != batch.end()) {
-        continue;
-      }
-      batch.push_back(p.update);
-    }
-    for (const auto& [batch_hops, batch] : batches) {
-      const auto body = proto::encode_body(batch);
+    for (const auto& batch :
+         proto::HintRelay::batches_for(pending, MachineId{nb})) {
+      const auto body = proto::encode_body(batch.updates);
       HttpRequest req;
       req.method = "POST";
       req.target = "/updates";
       req.headers.emplace_back("X-From", std::to_string(port_));
-      req.headers.emplace_back("X-Hop", std::to_string(batch_hops));
+      req.headers.emplace_back(std::string(proto::kHopHeader),
+                               std::to_string(batch.hops));
       req.body.assign(reinterpret_cast<const char*>(body.data()), body.size());
       int attempts = 0;
       const auto sent =
@@ -1096,7 +1001,7 @@ void ProxyServer::flush_hints() {
       }
       if (sent && sent->status == 200) {
         record_peer_success(nb);
-        c_.updates_sent.inc(batch.size());
+        c_.updates_sent.inc(batch.updates.size());
         c_.update_bytes_sent.inc(body.size());
       } else {
         // Failed sends are dropped: hint traffic is soft state.
@@ -1112,10 +1017,7 @@ void ProxyServer::invalidate(ObjectId id) {
   // hold a hint worth retracting.
   const bool had_ram = cache_.erase(id);
   const bool had_disk = disk_ && disk_->erase(id);
-  if (had_ram || had_disk) {
-    std::lock_guard lock(queue_mu_);
-    queue_update_locked(proto::Action::kInvalidate, id, self(), MachineId{0});
-  }
+  if (had_ram || had_disk) advertise(proto::Action::kInvalidate, id);
   hints_->erase(id);
 }
 
@@ -1157,36 +1059,6 @@ void ProxyServer::record_peer_failure(std::uint16_t port) {
   h.retry_at = std::chrono::steady_clock::now() +
                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                    std::chrono::duration<double>(cfg_.quarantine_seconds));
-}
-
-// ---------------------------------------------------------------------------
-// seen-set + update queue (callers hold queue_mu_)
-// ---------------------------------------------------------------------------
-
-bool ProxyServer::note_seen_locked(const proto::HintUpdate& update) {
-  if (cfg_.seen_updates_capacity == 0) return true;  // dedup disabled
-  // An arriving action retires its complement: insert-evict-insert cycles
-  // keep propagating instead of being swallowed as duplicates.
-  seen_updates_.erase(proto::complement_key(update));
-  const std::uint64_t key = proto::update_key(update);
-  if (!seen_updates_.insert(key).second) return false;
-  seen_order_.push_back(key);
-  // FIFO bound. A retired complement may leave a stale deque slot; popping
-  // it is a harmless no-op (slightly early forgetting, never a leak).
-  while (seen_order_.size() > cfg_.seen_updates_capacity) {
-    seen_updates_.erase(seen_order_.front());
-    seen_order_.pop_front();
-  }
-  return true;
-}
-
-void ProxyServer::queue_update_locked(proto::Action action, ObjectId id,
-                                      MachineId loc, MachineId exclude) {
-  const proto::HintUpdate update{action, id, loc};
-  // Mark our own updates seen so an echo from a cyclic neighbour graph is
-  // dropped instead of relayed forever.
-  note_seen_locked(update);
-  enqueue_pending_locked({update, exclude, 0});
 }
 
 }  // namespace bh::proxy

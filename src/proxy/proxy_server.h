@@ -31,14 +31,14 @@
 //     front, so concurrent handlers touching different objects take
 //     different locks;
 //   - the remaining shared state is guarded per concern: neighbour
-//     list/health under one mutex, the outbound update queue + relay
-//     seen-set under another. Lock order: a cache-shard lock may be taken
-//     before the queue lock (eviction callbacks queue invalidations);
-//     every other pair of locks is never nested.
+//     list/health under one mutex, the hint relay (proto::HintRelay: the
+//     outbound update queue, its seen-set and hop bound) under another.
+//     Lock order: a cache-shard lock may be taken before the queue lock
+//     (eviction callbacks queue invalidations); every other pair of locks
+//     is never nested.
 //   - outbound hint batching runs on a dedicated flusher thread with size-
-//     and age-based triggers; queued inform/invalidate pairs for the same
-//     (object, location) retire each other before the batch is built
-//     (proto::pair_key), since the pair is a net no-op for every receiver.
+//     and age-based triggers; the relay coalesces and batches the drained
+//     queue, and the daemon sends it outside the queue lock.
 //
 // Failure model (the paper's "do not slow down misses", extended to failed
 // peers): every outbound call has its own deadline — data-path peer probes
@@ -48,9 +48,9 @@
 // fails `quarantine_threshold` consecutive calls is quarantined: its hints
 // are kept but not probed, so requests degrade to origin-direct service at
 // full speed, and one re-probe per `quarantine_seconds` window lets a
-// recovered peer rejoin. Hint re-advertisement is hop-bounded and
-// deduplicated through a bounded seen-set, so update storms cannot occur in
-// cyclic neighbour graphs.
+// recovered peer rejoin. Hint re-advertisement follows the shared relay
+// core (proto::HintRelay) — hop-bounded and deduplicated through a bounded
+// seen-set — so update storms cannot occur in cyclic neighbour graphs.
 //
 // Peer responses advertise "X-Cache: HIT | SIBLING | MISS" so callers (and
 // the tests) can observe exactly which path served them.
@@ -68,7 +68,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/disk_store.h"
@@ -78,6 +77,7 @@
 #include "hints/hint_cache.h"
 #include "obs/metrics.h"
 #include "placement/placement.h"
+#include "proto/hint_relay.h"
 #include "proto/wire.h"
 #include "proxy/conn_pool.h"
 #include "proxy/http.h"
@@ -113,10 +113,6 @@ struct ProxyConfig {
   // Budget / estimator knobs for the budgeted policies (the adaptive-greedy
   // byte budget runs on the daemon's wall clock).
   placement::PolicyParams push_params;
-  // Legacy switch: push to *every* other neighbour on a peer fetch. Kept as
-  // an alias — it maps to push_policy = "push-all" when push_policy is left
-  // at "none".
-  bool push_on_peer_fetch = false;
 
   // Subscribe to the origin's server-driven invalidation (DELETE callbacks
   // on modify) — the paper's strong-consistency assumption, end-to-end.
@@ -211,10 +207,7 @@ struct ProxyConfig {
   // --- hint-forwarding loop control ---
   // A received update is re-advertised at most this many hops from its
   // origin; 1 means "apply locally, never relay".
-  int max_hint_hops = 8;
-  // Bounded FIFO of recently seen update keys used to drop duplicate
-  // re-advertisements in cyclic topologies.
-  std::size_t seen_updates_capacity = 4096;
+  int max_hint_hops = proto::HintRelay::kDefaultMaxHops;
 };
 
 // Point-in-time view of the daemon's counters. The counters themselves live
@@ -401,10 +394,11 @@ class ProxyServer {
                       cache::BodyPtr body);
   void load_hint_image();
 
-  // Update queue + seen-set, guarded by queue_mu_.
-  void queue_update_locked(proto::Action action, ObjectId id, MachineId loc,
-                           MachineId exclude);
-  bool note_seen_locked(const proto::HintUpdate& update);
+  // Queues an update about this daemon's own copy of `id`; takes queue_mu_.
+  void advertise(proto::Action action, ObjectId id);
+  // After the relay's queue grew from `before` entries: starts the age clock
+  // and wakes the flusher when a trigger arms. Caller holds queue_mu_.
+  void note_queued_locked(std::size_t before);
 
   // Neighbour list + health, guarded by peers_mu_ internally.
   std::vector<std::uint16_t> neighbor_ports() const;
@@ -413,18 +407,6 @@ class ProxyServer {
   void record_peer_failure(std::uint16_t port);
 
   CallOptions metadata_call_options();
-
-  struct PendingUpdate {
-    proto::HintUpdate update;
-    MachineId exclude;
-    int hops = 0;  // relays this update has already undergone
-  };
-  // Retires queued inform/invalidate pairs for the same (object, location)
-  // with matching relay provenance; returns how many entries were removed.
-  static std::size_t coalesce(std::vector<PendingUpdate>& pending);
-
-  // Appends to pending_ and wakes the flusher when a trigger arms.
-  void enqueue_pending_locked(PendingUpdate update);
 
   ProxyConfig cfg_;
   std::optional<TcpListener> listener_;
@@ -476,13 +458,14 @@ class ProxyServer {
   std::vector<std::uint16_t> neighbors_;
   std::unordered_map<std::uint16_t, NeighborHealth> health_;
 
-  // --- outbound update queue + relay seen-set + flusher ---
+  // --- hint relay (update queue, seen-set, hop bound) + flusher ---
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;  // wakes the flusher thread
-  std::vector<PendingUpdate> pending_;
+  // Built once the listener has its port (the relay's own machine id).
+  // Guarded by queue_mu_, except decide(), which reads only
+  // construction-time state.
+  std::optional<proto::HintRelay> relay_;
   std::chrono::steady_clock::time_point oldest_pending_{};
-  std::unordered_set<std::uint64_t> seen_updates_;
-  std::deque<std::uint64_t> seen_order_;  // FIFO eviction for the seen-set
   std::mutex flush_send_mu_;  // serializes whole drains (manual + flusher)
   std::thread flusher_thread_;
 

@@ -348,5 +348,31 @@ TEST(PushTest, EfficiencyComputation) {
   EXPECT_DOUBLE_EQ(s.efficiency(), 0.25);
 }
 
+// --- disk-faulting hint lookup cost ---
+
+TEST(HintDiskCostTest, FullyResidentTableCostsMicroseconds) {
+  net::HierarchyTopology topo{16, 4, 4};
+  auto cost = net::RousskovCostModel::min();
+  sim::EventQueue queue;
+  HintSystemConfig cfg;
+  cfg.hint_bytes = 1_MB;
+  cfg.hint_memory_bytes = 1_MB;
+  HintSystem sys(topo, cost, cfg, queue);
+  auto out = sys.handle_request(req(1, 0));
+  EXPECT_NEAR(out.latency, 641 + 0.0043, 1e-6);
+}
+
+TEST(HintDiskCostTest, OverflowingTablePaysExpectedFaults) {
+  net::HierarchyTopology topo{16, 4, 4};
+  auto cost = net::RousskovCostModel::min();
+  sim::EventQueue queue;
+  HintSystemConfig cfg;
+  cfg.hint_bytes = 4_MB;
+  cfg.hint_memory_bytes = 1_MB;  // 75% of lookups fault in from disk
+  HintSystem sys(topo, cost, cfg, queue);
+  auto out = sys.handle_request(req(1, 0));
+  EXPECT_NEAR(out.latency, 641 + 0.0043 + 0.75 * 10.8, 1e-6);
+}
+
 }  // namespace
 }  // namespace bh::core

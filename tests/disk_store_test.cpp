@@ -331,8 +331,10 @@ TEST(DiskStoreTest, AsyncQueueOverflowShedsAndCounts) {
   EXPECT_GT(accepted, 0);
   EXPECT_EQ(store.stats().async_dropped, static_cast<std::uint64_t>(shed));
   EXPECT_EQ(store.stats().async_queued, static_cast<std::uint64_t>(accepted));
-  // Shed demotions are simply absent; accepted ones all landed.
-  EXPECT_EQ(store.object_count(), static_cast<std::size_t>(accepted));
+  // Shed demotions are simply absent; accepted ones all landed, though a
+  // writer fast enough to fill the budget evicts some of them again.
+  EXPECT_EQ(store.object_count() + store.stats().evictions,
+            static_cast<std::uint64_t>(accepted));
 }
 
 TEST(DiskStoreTest, StopAsyncDrainsThenRestartsLazily) {

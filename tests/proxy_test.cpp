@@ -457,7 +457,7 @@ TEST(ProxyServerTest, PushOnPeerFetchSeedsOtherNeighbors) {
   // Supplier s with push enabled; requester r; bystander t.
   ProxyConfig cs = base;
   cs.name = "supplier";
-  cs.push_on_peer_fetch = true;
+  cs.push_policy = "push-all";
   ProxyServer s(cs);
   ProxyConfig cr = base;
   cr.name = "requester";
@@ -552,14 +552,8 @@ TEST(ProxyServerTest, PushTargetsHeaderSeedsSiblingHints) {
 
 TEST(ProxyServerTest, PushPolicyNameResolvesAliasAndRejectsUnknown) {
   OriginServer origin;
-  ProxyConfig cfg;
-  cfg.origin_port = origin.port();
-  // Legacy flag maps onto the push-all policy.
-  cfg.push_on_peer_fetch = true;
-  ProxyServer p(cfg);
-  EXPECT_EQ(p.push_policy_name(), "push-all");
-
-  ProxyConfig bad = cfg;
+  ProxyConfig bad;
+  bad.origin_port = origin.port();
   bad.push_policy = "push-everything";
   EXPECT_THROW(ProxyServer{bad}, std::invalid_argument);
 }
