@@ -46,8 +46,10 @@ int main() {
   proto::LoopbackTransport net;
   std::map<std::uint64_t, Proxy> proxies;
 
-  // Leaf proxies talk to the relay; the relay talks to all leaves. A tree,
-  // so the re-advertising flood cannot loop.
+  // Leaf proxies talk to the relay; the relay talks to all leaves and
+  // re-advertises what one leaf tells it to the others. The tree shape is
+  // the deployment's choice: the relay's hop bound and seen-set keep
+  // re-advertising loop-free on any neighbour graph.
   for (int i = 1; i <= 8; ++i) {
     proto::PeerConfig cfg;
     cfg.self = proxy_id(i);

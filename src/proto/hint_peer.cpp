@@ -18,7 +18,7 @@ HintPeer::HintPeer(PeerConfig cfg, Transport& transport, std::uint64_t seed)
     : cfg_(std::move(cfg)),
       transport_(transport),
       rng_(seed ^ cfg_.self.value),
-      store_(hints::make_hint_store(cfg_.hint_cache_bytes)),
+      store_(hints::make_hint_store(kHintCacheBytes)),
       relay_(cfg_.self, HintRelay::kDefaultMaxHops, distance_from(cfg_)) {
   transport_.bind(cfg_.self, [this](MachineId from,
                                     std::span<const std::uint8_t> bytes) {

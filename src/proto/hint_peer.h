@@ -28,7 +28,6 @@ namespace bh::proto {
 struct PeerConfig {
   MachineId self;
   std::vector<MachineId> neighbors;
-  std::uint64_t hint_cache_bytes = 64ULL << 20;
   // Upper bound of the randomized batch period, seconds (paper: 60).
   double max_batch_period = 60.0;
   // Network proximity oracle used to keep the *nearest* copy when several
@@ -47,6 +46,13 @@ struct PeerStats {
 
 class HintPeer {
  public:
+  // Hint-cache size of every peer: 65,536 16-byte records. The protocol
+  // peer models one cache's hint module over a workload of a few hundred
+  // objects (examples/isp_cluster keeps 274 relay entries for 300), so
+  // 4-way set conflicts never evict a hint there, while the zero-filled
+  // record array stays at 1 MB resident per peer.
+  static constexpr std::uint64_t kHintCacheBytes = 1ULL << 20;
+
   HintPeer(PeerConfig cfg, Transport& transport, std::uint64_t seed);
 
   // --- the three interface commands between the cache and the hint module ---

@@ -1,9 +1,12 @@
 #include "proxy/reactor.h"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <signal.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/sendfile.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -21,6 +24,18 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kMaxWriteIov = 16;
+
+// How long a listener stays parked after accept4 ran out of descriptors.
+// Level-triggered EPOLLIN would otherwise report the still-queued
+// connection on every epoll_wait and spin the loop at full CPU; 50 ms keeps
+// the retry prompt without measurable cost at idle.
+constexpr double kAcceptRetrySeconds = 0.05;
+
+bool set_nonblocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags < 0) return false;
+  return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
 
 }  // namespace
 
@@ -125,7 +140,7 @@ int TimerWheel::next_delay_ms(Clock::time_point now) const {
 // ---------------------------------------------------------------------------
 // Reactor
 
-Reactor::Reactor(IoBackendKind kind) : backend_(make_io_backend(kind)) {
+Reactor::Reactor() {
   // The socket writes all carry MSG_NOSIGNAL, but sendfile(2) on the
   // zero-copy extent path has no such flag: a peer that dies mid-transfer
   // must surface as EPIPE on the call, not kill the process.
@@ -134,31 +149,204 @@ Reactor::Reactor(IoBackendKind kind) : backend_(make_io_backend(kind)) {
     return true;
   }();
   (void)sigpipe_ignored;
+
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) throw std::runtime_error("epoll_create1 failed");
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    ::close(epoll_fd_);
+    throw std::runtime_error("eventfd failed");
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = 0;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+    ::close(wake_fd_);
+    ::close(epoll_fd_);
+    throw std::runtime_error("epoll_ctl(wake_fd) failed");
+  }
 }
 
-Reactor::~Reactor() = default;
-
-std::uint64_t Reactor::add_fd(int fd, std::uint32_t events, IoFn fn) {
-  return backend_->add_fd(fd, events, std::move(fn));
+Reactor::~Reactor() {
+  ::close(wake_fd_);
+  ::close(epoll_fd_);
 }
 
-bool Reactor::mod_fd(std::uint64_t id, std::uint32_t events) {
-  return backend_->mod_fd(id, events);
+std::uint64_t Reactor::add_reg(int fd, Reg reg) {
+  const std::uint64_t id = next_id_++;
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = id;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) return 0;
+  reg.fd = fd;
+  regs_.emplace(id, std::move(reg));
+  return id;
 }
 
-void Reactor::del_fd(std::uint64_t id) { backend_->del_fd(id); }
+bool Reactor::set_interest(std::uint64_t id, const Reg& reg,
+                           std::uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = id;
+  return ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, reg.fd, &ev) == 0;
+}
+
+bool Reactor::update_listener_interest(std::uint64_t id, const Reg& reg) {
+  const bool accepting = reg.enabled && !reg.backing_off;
+  return set_interest(id, reg,
+                      accepting ? static_cast<std::uint32_t>(EPOLLIN) : 0u);
+}
+
+std::uint64_t Reactor::add_listener(int fd, AcceptFn fn) {
+  set_nonblocking(fd);
+  Reg reg;
+  reg.kind = Kind::kListener;
+  reg.accept_fn = std::move(fn);
+  return add_reg(fd, std::move(reg));
+}
+
+bool Reactor::set_listener_enabled(std::uint64_t id, bool enabled) {
+  const auto it = regs_.find(id);
+  if (it == regs_.end() || it->second.kind != Kind::kListener) return false;
+  it->second.enabled = enabled;
+  return update_listener_interest(id, it->second);
+}
+
+std::uint64_t Reactor::add_stream(int fd, RecvFn on_recv,
+                                  WritableFn on_writable) {
+  Reg reg;
+  reg.kind = Kind::kStream;
+  reg.recv_fn = std::move(on_recv);
+  reg.writable_fn = std::move(on_writable);
+  return add_reg(fd, std::move(reg));
+}
+
+void Reactor::request_writable(std::uint64_t id) {
+  const auto it = regs_.find(id);
+  if (it == regs_.end() || it->second.kind != Kind::kStream) return;
+  if (it->second.want_writable) return;
+  it->second.want_writable = true;
+  set_interest(id, it->second, EPOLLIN | EPOLLOUT);
+}
+
+void Reactor::del_fd(std::uint64_t id) {
+  const auto it = regs_.find(id);
+  if (it == regs_.end()) return;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second.fd, nullptr);
+  regs_.erase(it);
+}
+
+bool Reactor::poll(int timeout_ms) {
+  epoll_event events[64];
+  const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  if (n < 0) return errno == EINTR;
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t id = events[i].data.u64;
+    if (id == 0) {
+      std::uint64_t drain;
+      while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
+      }
+      continue;
+    }
+    dispatch(id, events[i].events);
+  }
+  return true;
+}
+
+void Reactor::wakeup() {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const auto n = ::write(wake_fd_, &one, sizeof(one));
+}
+
+// Every callback below is copied out of the registration and the table is
+// re-probed afterwards, because any callback may delete its own (or any
+// other) registration mid-dispatch.
+void Reactor::dispatch(std::uint64_t id, std::uint32_t events) {
+  const auto it = regs_.find(id);
+  if (it == regs_.end()) return;  // deleted earlier in this batch
+  if (it->second.kind == Kind::kListener) {
+    accept_ready(id);
+  } else {
+    stream_ready(id, events);
+  }
+}
+
+void Reactor::accept_ready(std::uint64_t id) {
+  for (;;) {
+    const auto it = regs_.find(id);
+    if (it == regs_.end() || !it->second.enabled || it->second.backing_off) {
+      return;
+    }
+    const int fd = ::accept4(it->second.fd, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) {
+      AcceptFn fn = it->second.accept_fn;
+      fn(fd);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EMFILE || errno == ENFILE) {
+      // The connection stays queued; park the listener until descriptors
+      // may have been freed. The timer finds nothing if it was deleted.
+      it->second.backing_off = true;
+      update_listener_interest(id, it->second);
+      timers_.add(Clock::now(), kAcceptRetrySeconds, [this, id] {
+        const auto rit = regs_.find(id);
+        if (rit == regs_.end()) return;
+        rit->second.backing_off = false;
+        update_listener_interest(id, rit->second);
+      });
+    }
+    return;  // EAGAIN, or another transient error: wait for the next event
+  }
+}
+
+void Reactor::stream_ready(std::uint64_t id, std::uint32_t events) {
+  if (events & EPOLLOUT) {
+    const auto it = regs_.find(id);
+    if (it == regs_.end()) return;
+    if (it->second.want_writable) {
+      it->second.want_writable = false;
+      set_interest(id, it->second, EPOLLIN);
+      WritableFn fn = it->second.writable_fn;
+      fn();
+    }
+  }
+  if (!(events & (EPOLLIN | EPOLLERR | EPOLLHUP))) return;
+  char buf[16384];
+  for (;;) {
+    const auto it = regs_.find(id);
+    if (it == regs_.end()) return;  // the writable callback closed it
+    const ssize_t n = ::recv(it->second.fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      RecvFn fn = it->second.recv_fn;
+      fn(buf, n);
+      continue;
+    }
+    if (n == 0) {
+      RecvFn fn = it->second.recv_fn;
+      fn(nullptr, 0);
+      return;
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+    if (errno == EINTR) continue;
+    RecvFn fn = it->second.recv_fn;
+    fn(nullptr, -errno);
+    return;
+  }
+}
 
 void Reactor::post(std::function<void()> fn) {
   {
     std::lock_guard lock(tasks_mu_);
     tasks_.push_back(std::move(fn));
   }
-  backend_->wakeup();
+  wakeup();
 }
 
 void Reactor::stop() {
   stop_.store(true, std::memory_order_release);
-  backend_->wakeup();
+  wakeup();
 }
 
 bool Reactor::on_loop_thread() const {
@@ -181,7 +369,7 @@ void Reactor::run() {
 
     timers_.advance(Clock::now());
     const int timeout = timers_.next_delay_ms(Clock::now());
-    const bool ok = backend_->poll(timeout);
+    const bool ok = poll(timeout);
     iterations_.fetch_add(1, std::memory_order_relaxed);
     if (!ok) break;
   }
@@ -199,7 +387,7 @@ HttpLoop::HttpLoop(Reactor& reactor, int listen_fd, Options opts,
       dispatch_(std::move(dispatch)) {
   if (opts_.max_pipeline == 0) opts_.max_pipeline = 1;
   listener_reg_ =
-      reactor_.io().add_listener(listen_fd_, [this](int fd) { on_accepted(fd); });
+      reactor_.add_listener(listen_fd_, [this](int fd) { on_accepted(fd); });
   schedule_sweep();
 }
 
@@ -225,7 +413,7 @@ void HttpLoop::on_accepted(int fd) {
   const std::uint64_t token = conn->token;
   Conn* raw = conn.get();
   conns_.emplace(token, std::move(conn));
-  raw->reg_id = reactor_.io().add_stream(
+  raw->reg_id = reactor_.add_stream(
       fd,
       [this, token](const char* data, ssize_t n) { on_recv(token, data, n); },
       [this, token] {
@@ -405,7 +593,7 @@ void HttpLoop::place_response(std::uint64_t conn_token, std::uint64_t seq,
     c->write_seq++;
   }
   // Inside a pump batch the flush happens once at the end; while an EAGAIN
-  // writability notification is armed, the backend will kick us.
+  // writability notification is armed, the reactor will kick us.
   if (!c->in_pump && !c->writing) continue_write(conn_token);
 }
 
@@ -413,9 +601,6 @@ bool HttpLoop::continue_write(std::uint64_t token) {
   const auto it = conns_.find(token);
   if (it == conns_.end()) return false;
   Conn* c = it->second.get();
-  // The kernel owns the front body's bytes until the SEND_ZC completion;
-  // its callback re-enters here.
-  if (c->zc_inflight) return true;
   for (;;) {
     if (c->out.empty()) {
       c->last_activity = Clock::now();
@@ -429,55 +614,38 @@ bool HttpLoop::continue_write(std::uint64_t token) {
       }
       return true;
     }
-    {
-      PendingWrite& front = c->out.front();
-      const std::size_t fhead = front.head.size();
-      // Disk extent with its head already out: ship the bytes with
-      // sendfile(2) — file to socket, never through userspace.
-      if (front.body.is_extent() && c->front_off >= fhead) {
-        bool blocked = false;
-        if (!sendfile_front(token, c, &blocked)) return false;
-        if (blocked) {
-          if (!c->writing) {
-            c->writing = true;
-            reactor_.io().request_writable(c->reg_id);
-          }
-          return true;
+    // Disk extent with its head already out: ship the bytes with
+    // sendfile(2) — file to socket, never through userspace.
+    if (c->out.front().body.is_extent() &&
+        c->front_off >= c->out.front().head.size()) {
+      bool blocked = false;
+      if (!sendfile_front(token, c, &blocked)) return false;
+      if (blocked) {
+        if (!c->writing) {
+          c->writing = true;
+          reactor_.request_writable(c->reg_id);
         }
-        continue;  // front advanced or fell back to RAM: reevaluate
-      }
-      // Large RAM body at the first body byte: offer it to the backend's
-      // zero-copy send (io_uring SEND_ZC). The write queue parks until the
-      // completion resumes it.
-      if (!front.body.is_extent() && c->front_off == fhead &&
-          opts_.zero_copy_min_bytes > 0 &&
-          front.body.size() >= opts_.zero_copy_min_bytes &&
-          try_send_zc(token, c)) {
         return true;
       }
+      continue;  // front advanced or fell back to RAM: reevaluate
     }
     // One gathered write covering as many queued responses as fit: head +
     // body pairs from the front of the queue, the first adjusted by
     // front_off. Bodies are never copied into a contiguous reply buffer.
-    // Gathering stops at a "special" body (disk extent, or SEND_ZC-eligible
-    // RAM buffer on a backend that has it): its head may join this batch,
-    // but the body itself must go out via its zero-copy path when it
-    // reaches the front — and nothing may be sent past skipped bytes.
+    // Gathering stops at a disk extent: its head may join this batch, but
+    // the body itself goes out via sendfile when it reaches the front — and
+    // nothing may be sent past skipped bytes.
     iovec iov[kMaxWriteIov];
     std::size_t iovcnt = 0;
     std::size_t off = c->front_off;
     for (const PendingWrite& pw : c->out) {
       if (iovcnt >= kMaxWriteIov) break;
-      const bool special =
-          pw.body.is_extent() ||
-          (zc_supported_ && opts_.zero_copy_min_bytes > 0 &&
-           pw.body.size() >= opts_.zero_copy_min_bytes);
       const std::size_t head_len = pw.head.size();
       if (off < head_len) {
         iov[iovcnt].iov_base = const_cast<char*>(pw.head.data() + off);
         iov[iovcnt].iov_len = head_len - off;
         ++iovcnt;
-        if (special) break;
+        if (pw.body.is_extent()) break;
         if (iovcnt < kMaxWriteIov && !pw.body.empty()) {
           const std::string_view body = pw.body.view();
           iov[iovcnt].iov_base = const_cast<char*>(body.data());
@@ -526,7 +694,7 @@ bool HttpLoop::continue_write(std::uint64_t token) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       if (!c->writing) {
         c->writing = true;
-        reactor_.io().request_writable(c->reg_id);
+        reactor_.request_writable(c->reg_id);
       }
       return true;
     }
@@ -589,58 +757,11 @@ bool HttpLoop::sendfile_front(std::uint64_t token, Conn* c, bool* blocked) {
   return true;
 }
 
-bool HttpLoop::try_send_zc(std::uint64_t token, Conn* c) {
-  if (!zc_supported_) return false;
-  PendingWrite& front = c->out.front();
-  const cache::BodyPtr& buf = front.body.shared();
-  if (!buf || buf->empty()) return false;
-  const bool taken = reactor_.io().send_zc(
-      c->reg_id, buf->data(), buf->size(), buf,
-      [this, token](ssize_t n) { on_zc_done(token, n); });
-  if (!taken) {
-    zc_supported_ = false;
-    return false;
-  }
-  c->zc_inflight = true;
-  return true;
-}
-
-void HttpLoop::on_zc_done(std::uint64_t token, ssize_t n) {
-  const auto it = conns_.find(token);
-  if (it == conns_.end()) return;
-  Conn* c = it->second.get();
-  c->zc_inflight = false;
-  if (n < 0) {
-    close_conn(token);
-    return;
-  }
-  c->last_activity = Clock::now();
-  zerocopy_sends_.fetch_add(1, std::memory_order_relaxed);
-  zerocopy_bytes_.fetch_add(static_cast<std::uint64_t>(n),
-                            std::memory_order_relaxed);
-  PendingWrite& front = c->out.front();
-  const std::size_t total =
-      front.head.size() + static_cast<std::size_t>(front.body.size());
-  c->front_off += static_cast<std::size_t>(n);
-  if (c->front_off == total) {
-    const bool close_now = front.close_after;
-    c->out.pop_front();
-    c->front_off = 0;
-    if (close_now) {
-      close_conn(token);
-      return;
-    }
-  }
-  // Short zero-copy send: the remainder (and everything queued behind it)
-  // continues through the ordinary write path.
-  continue_write(token);
-}
-
 void HttpLoop::close_conn(std::uint64_t token) {
   const auto it = conns_.find(token);
   if (it == conns_.end()) return;
   Conn* c = it->second.get();
-  if (c->reg_id != 0) reactor_.io().del_fd(c->reg_id);
+  if (c->reg_id != 0) reactor_.del_fd(c->reg_id);
   for (const std::uint64_t req_token : c->open_reqs) reqs_.erase(req_token);
   // Decremented before ::close so an observer woken by the peer's EOF never
   // reads a stale count.
@@ -668,14 +789,14 @@ void HttpLoop::sweep_idle() {
 void HttpLoop::pause_accept() {
   if (accept_paused_ || listener_reg_ == 0) return;
   accept_paused_ = true;
-  reactor_.io().set_listener_enabled(listener_reg_, false);
+  reactor_.set_listener_enabled(listener_reg_, false);
 }
 
 void HttpLoop::resume_accept() {
   reactor_.post([this] {
     if (!accept_paused_ || listener_reg_ == 0) return;
     accept_paused_ = false;
-    reactor_.io().set_listener_enabled(listener_reg_, true);
+    reactor_.set_listener_enabled(listener_reg_, true);
   });
 }
 
@@ -687,7 +808,7 @@ void HttpLoop::shutdown() {
     sweep_timer_ = 0;
   }
   if (listener_reg_ != 0) {
-    reactor_.io().del_fd(listener_reg_);
+    reactor_.del_fd(listener_reg_);
     listener_reg_ = 0;
   }
   std::vector<std::uint64_t> tokens;

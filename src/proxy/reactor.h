@@ -1,25 +1,22 @@
-// The proxy's event-driven I/O core: a single-threaded reactor over a
-// pluggable I/O backend (io_backend.h — epoll or io_uring), a coarse hashed
-// timer wheel for deadlines, and an HTTP server harness (HttpLoop) that
-// multiplexes every inbound connection over it.
+// The proxy's event-driven I/O core: a single-threaded epoll reactor, a
+// coarse hashed timer wheel for deadlines, and an HTTP server harness
+// (HttpLoop) that multiplexes every inbound connection over it.
 //
 // Ownership model:
-//   - Reactor owns the IoBackend (which owns the kernel-facing machinery:
-//     the epoll instance or the io_uring rings, plus the wakeup eventfd)
-//     and the timer wheel. run() executes on exactly one thread (the "loop
-//     thread"); every callback, timer, and posted task fires there, so
-//     per-connection state needs no locks.
+//   - Reactor owns the epoll instance, its wakeup eventfd, the registration
+//     table and the timer wheel. run() executes on exactly one thread (the
+//     "loop thread"); every callback, timer, and posted task fires there,
+//     so per-connection state needs no locks.
 //   - HttpLoop owns the per-connection state machines: an incremental
 //     HttpParser, a buffered-ahead byte queue for pipelined requests, and
 //     the in-order response write queue. It borrows the listening fd (the
 //     TcpListener keeps ownership) and receives accepted fds from the
-//     backend's listener registration; bytes arrive via the backend's
-//     stream callbacks (an accept4/recv loop on epoll, multishot
-//     completions on io_uring).
+//     reactor's listener registration (an accept4 loop) and bytes from its
+//     stream registrations (a recv loop).
 //   - Everything that can block — shard lookups that contend, hint ops,
 //     outbound peer probes, origin fetches — runs on the caller's worker
 //     pool, NOT here. The loop's contract is: parse, dispatch, write,
-//     never wait on anything but the backend.
+//     never wait on anything but epoll.
 //
 // Request flow: bytes arrive -> parser.feed -> each complete request is
 // dispatched immediately with its own request token (parse-ahead: pipelined
@@ -38,6 +35,8 @@
 // or slow-trickling client can never pin a connection forever.
 #pragma once
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -53,7 +52,6 @@
 #include <vector>
 
 #include "proxy/http.h"
-#include "proxy/io_backend.h"
 
 namespace bh::proxy {
 
@@ -76,7 +74,7 @@ class TimerWheel {
   void advance(Clock::time_point now);
 
   // Milliseconds until the next timer is due at `now` (0 if already due),
-  // or -1 when none are pending — the backend's poll timeout.
+  // or -1 when none are pending — the reactor's epoll_wait timeout.
   int next_delay_ms(Clock::time_point now) const;
 
   std::size_t pending() const { return by_id_.size(); }
@@ -102,29 +100,39 @@ class TimerWheel {
 
 class Reactor {
  public:
-  using IoFn = IoBackend::IoFn;
+  using AcceptFn = std::function<void(int fd)>;
+  using RecvFn = std::function<void(const char* data, ssize_t n)>;
+  using WritableFn = std::function<void()>;
 
-  // Throws std::runtime_error if the backend cannot be constructed (for
-  // kIoUring that includes "this kernel cannot run it"; kAuto always
-  // succeeds by falling back to epoll).
-  explicit Reactor(IoBackendKind kind = IoBackendKind::kAuto);
+  // Throws std::runtime_error if the epoll instance or its wakeup eventfd
+  // cannot be created.
+  Reactor();
   ~Reactor();
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
   // --- loop-thread-only API ---
-  // Registers `fd` for `events` (kIoReadable/kIoWritable/...); returns a
-  // handle id, 0 on failure. The callback may add/mod/del registrations
-  // freely; events for handles deleted mid-batch are dropped, and handle
-  // ids are never reused, so a recycled fd can never receive a stale event.
-  std::uint64_t add_fd(int fd, std::uint32_t events, IoFn fn);
-  bool mod_fd(std::uint64_t id, std::uint32_t events);
+  // Registrations return an id (0 on failure). Ids increase monotonically
+  // and are never reused, so a recycled fd can never receive a stale
+  // callback. Every callback may add or delete registrations freely,
+  // including its own.
+  //
+  // add_listener makes `fd` non-blocking and delivers each accepted
+  // connection as a non-blocking close-on-exec fd whose ownership passes to
+  // `fn`. When accept4 fails for lack of descriptors (EMFILE/ENFILE) the
+  // listener parks until a short retry timer fires, rather than spinning on
+  // a connection it cannot take.
+  std::uint64_t add_listener(int fd, AcceptFn fn);
+  // Stops (false) or resumes (true) accepting — backpressure. Connections
+  // the kernel already completed stay queued in the listen backlog.
+  bool set_listener_enabled(std::uint64_t id, bool enabled);
+  // on_recv(data, n): n > 0 for a chunk (`data` is valid only during the
+  // call), n == 0 for EOF, n < 0 for -errno. on_writable fires once per
+  // request_writable (arm it after a non-blocking send returned EAGAIN).
+  std::uint64_t add_stream(int fd, RecvFn on_recv, WritableFn on_writable);
+  void request_writable(std::uint64_t id);
+  // Works for both kinds; callbacks still queued for `id` are dropped.
   void del_fd(std::uint64_t id);
-
-  // The backend, for listener/stream registrations (HttpLoop) and stats.
-  IoBackend& io() { return *backend_; }
-  const char* backend_name() const { return backend_->name(); }
-  IoBackend::Stats io_stats() const { return backend_->stats(); }
 
   TimerWheel& timers() { return timers_; }
 
@@ -144,7 +152,33 @@ class Reactor {
   }
 
  private:
-  std::unique_ptr<IoBackend> backend_;
+  enum class Kind { kListener, kStream };
+
+  struct Reg {
+    int fd = -1;
+    Kind kind = Kind::kStream;
+    AcceptFn accept_fn;
+    RecvFn recv_fn;
+    WritableFn writable_fn;
+    bool enabled = true;         // listener: not paused by the caller
+    bool backing_off = false;    // listener: parked after EMFILE/ENFILE
+    bool want_writable = false;  // stream: one-shot EPOLLOUT armed
+  };
+
+  std::uint64_t add_reg(int fd, Reg reg);
+  bool set_interest(std::uint64_t id, const Reg& reg, std::uint32_t events);
+  bool update_listener_interest(std::uint64_t id, const Reg& reg);
+  // One epoll_wait-and-dispatch cycle; false on an unrecoverable error.
+  bool poll(int timeout_ms);
+  void wakeup();
+  void dispatch(std::uint64_t id, std::uint32_t events);
+  void accept_ready(std::uint64_t id);
+  void stream_ready(std::uint64_t id, std::uint32_t events);
+
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  // registered under the reserved id 0
+  std::unordered_map<std::uint64_t, Reg> regs_;
+  std::uint64_t next_id_ = 1;
   TimerWheel timers_;
 
   std::mutex tasks_mu_;
@@ -166,11 +200,6 @@ class HttpLoop {
     // on one connection. Further pipelined bytes stay in the buffer until
     // responses drain.
     std::size_t max_pipeline = 16;
-    // RAM bodies at least this large go out via the backend's zero-copy
-    // send (io_uring SEND_ZC) when it has one; smaller bodies aren't worth
-    // the two-completion round trip. Extent (disk) bodies always use
-    // sendfile regardless of size. 0 disables zero-copy RAM sends.
-    std::uint64_t zero_copy_min_bytes = 64ULL << 10;
   };
 
   // `dispatch` runs on the loop thread with each complete request; it must
@@ -204,8 +233,8 @@ class HttpLoop {
   }
 
   // Zero-copy transmission counters (`bh.proxy.zerocopy_sends` /
-  // `bh.proxy.bytes_zerocopy`): bodies that left via sendfile(2) or
-  // SEND_ZC, i.e. without a userspace copy into the socket.
+  // `bh.proxy.bytes_zerocopy`): extent bodies that left via sendfile(2),
+  // i.e. without a userspace copy into the socket.
   std::uint64_t zerocopy_sends() const {
     return zerocopy_sends_.load(std::memory_order_relaxed);
   }
@@ -246,9 +275,6 @@ class HttpLoop {
     std::size_t front_off = 0;
     bool writing = false;  // writability notification armed after EAGAIN
     bool in_pump = false;  // defer write kicks so one flush covers the batch
-    // A SEND_ZC is in flight: the write queue must not advance (the kernel
-    // owns the front body's bytes) until its completion re-enters the pump.
-    bool zc_inflight = false;
     std::chrono::steady_clock::time_point last_activity;
 
     explicit Conn(HttpParser::Limits limits)
@@ -286,12 +312,6 @@ class HttpLoop {
   // continue_write outcome contract: advanced/EAGAIN → true, conn gone →
   // false; sets *blocked when the socket is full.
   bool sendfile_front(std::uint64_t token, Conn* c, bool* blocked);
-  // Tries to hand the front entry's RAM body to the backend's zero-copy
-  // send; true when the backend took it (write queue parks until the
-  // completion callback).
-  bool try_send_zc(std::uint64_t token, Conn* c);
-  // SEND_ZC result completion: advances the write queue and resumes it.
-  void on_zc_done(std::uint64_t token, ssize_t n);
   void close_conn(std::uint64_t token);
   void sweep_idle();
   void schedule_sweep();
@@ -310,9 +330,6 @@ class HttpLoop {
   std::atomic<std::size_t> open_conns_{0};
   std::atomic<std::uint64_t> zerocopy_sends_{0};
   std::atomic<std::uint64_t> zerocopy_bytes_{0};
-  // Cleared the first time the backend declines send_zc (epoll always
-  // does); from then on large RAM bodies gather into sendmsg like any other.
-  bool zc_supported_ = true;
   bool shut_down_ = false;
 };
 

@@ -23,7 +23,7 @@ namespace {
 ObjectId obj(std::uint64_t v) { return ObjectId{v}; }
 MachineId mid(std::uint64_t v) { return MachineId{v}; }
 
-// A peer with default cache size, batch period and distance oracle.
+// A peer with the default batch period and distance oracle.
 PeerConfig peer_config(MachineId self, std::vector<MachineId> neighbors) {
   PeerConfig cfg;
   cfg.self = self;
@@ -336,7 +336,7 @@ TEST(HintPeerTest, RelaysAlongAChainButNotBack) {
 
 TEST(HintPeerTest, DistanceFunctionKeepsNearestHint) {
   LoopbackTransport net;
-  PeerConfig cfg{mid(10), {}, 1_MB, 60.0,
+  PeerConfig cfg{mid(10), {}, 60.0,
                  [](MachineId self, MachineId other) {
                    return std::abs(static_cast<double>(self.value) -
                                    static_cast<double>(other.value));

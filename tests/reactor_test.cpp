@@ -1,27 +1,29 @@
 // Tests for the reactor core: the timer wheel's ordering and cancellation,
-// the loop's cross-thread post/wakeup contract, and the HttpLoop connection
-// state machine (keep-alive, pipelining, 400-on-junk) driven over real
-// loopback sockets. Everything that touches the loop runs against every
-// available I/O backend (epoll always; io_uring when the kernel supports
-// it), so both implementations are held to the same observable contract.
+// the loop's cross-thread post/wakeup contract, the listener's behaviour at
+// the descriptor limit, and the HttpLoop connection state machine
+// (keep-alive, pipelining, 400-on-junk) driven over real loopback sockets.
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "proxy/conn_pool.h"
 #include "proxy/http.h"
-#include "proxy/io_backend.h"
 #include "proxy/reactor.h"
 #include "proxy/socket.h"
 
@@ -29,48 +31,6 @@ namespace bh::proxy {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// The backends available on this machine. Epoll always works; io_uring is
-// probed once, and when absent the suite says so explicitly rather than
-// silently shrinking.
-std::vector<IoBackendKind> test_backends() {
-  std::vector<IoBackendKind> kinds{IoBackendKind::kEpoll};
-  std::string why;
-  if (io_uring_supported(&why)) {
-    kinds.push_back(IoBackendKind::kIoUring);
-  } else {
-    static const bool logged = [&why] {
-      std::fprintf(stderr,
-                   "io_uring unavailable (%s): reactor tests run on epoll "
-                   "only\n",
-                   why.c_str());
-      return true;
-    }();
-    (void)logged;
-  }
-  return kinds;
-}
-
-class BackendParamTest : public ::testing::TestWithParam<IoBackendKind> {};
-
-using ReactorBackendTest = BackendParamTest;
-using HttpLoopBackendTest = BackendParamTest;
-using ConnectionPoolBackendTest = BackendParamTest;
-
-std::string backend_param_name(
-    const ::testing::TestParamInfo<IoBackendKind>& info) {
-  return io_backend_kind_name(info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorBackendTest,
-                         ::testing::ValuesIn(test_backends()),
-                         backend_param_name);
-INSTANTIATE_TEST_SUITE_P(Backends, HttpLoopBackendTest,
-                         ::testing::ValuesIn(test_backends()),
-                         backend_param_name);
-INSTANTIATE_TEST_SUITE_P(Backends, ConnectionPoolBackendTest,
-                         ::testing::ValuesIn(test_backends()),
-                         backend_param_name);
 
 TEST(TimerWheelTest, FiresInDueOrder) {
   TimerWheel wheel(/*tick_seconds=*/0.001, /*slots=*/16);
@@ -141,8 +101,8 @@ TEST(TimerWheelTest, CallbackMayRescheduleItself) {
   EXPECT_EQ(fires, 3);
 }
 
-TEST_P(ReactorBackendTest, PostRunsOnLoopThreadAndStopExits) {
-  Reactor reactor(GetParam());
+TEST(ReactorTest, PostRunsOnLoopThreadAndStopExits) {
+  Reactor reactor;
   std::thread loop([&] { reactor.run(); });
 
   std::atomic<bool> ran{false};
@@ -164,8 +124,8 @@ TEST_P(ReactorBackendTest, PostRunsOnLoopThreadAndStopExits) {
   loop.join();
 }
 
-TEST_P(ReactorBackendTest, TimersFireOnTheLoop) {
-  Reactor reactor(GetParam());
+TEST(ReactorTest, TimersFireOnTheLoop) {
+  Reactor reactor;
   std::thread loop([&] { reactor.run(); });
   std::atomic<int> fired{0};
   reactor.post([&] {
@@ -186,10 +146,10 @@ TEST_P(ReactorBackendTest, TimersFireOnTheLoop) {
 // which response.
 class EchoServer {
  public:
-  explicit EchoServer(IoBackendKind backend = IoBackendKind::kEpoll) {
+  EchoServer() {
     listener_ = TcpListener::bind_ephemeral();
     EXPECT_TRUE(listener_.has_value());
-    reactor_ = std::make_unique<Reactor>(backend);
+    reactor_ = std::make_unique<Reactor>();
     HttpLoop::Options opts;
     opts.idle_timeout_seconds = 30.0;
     loop_ = std::make_unique<HttpLoop>(
@@ -219,8 +179,8 @@ class EchoServer {
   std::thread thread_;
 };
 
-TEST_P(HttpLoopBackendTest, KeepAliveServesManyExchangesOnOneConnection) {
-  EchoServer server(GetParam());
+TEST(HttpLoopTest, KeepAliveServesManyExchangesOnOneConnection) {
+  EchoServer server;
   auto conn = ClientConnection::open(server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
   for (int i = 0; i < 10; ++i) {
@@ -242,8 +202,8 @@ TEST_P(HttpLoopBackendTest, KeepAliveServesManyExchangesOnOneConnection) {
   EXPECT_EQ(server.open_connections(), 1u);
 }
 
-TEST_P(HttpLoopBackendTest, WithoutKeepAliveServerCloses) {
-  EchoServer server(GetParam());
+TEST(HttpLoopTest, WithoutKeepAliveServerCloses) {
+  EchoServer server;
   auto conn = ClientConnection::open(server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
   HttpRequest req;
@@ -257,8 +217,8 @@ TEST_P(HttpLoopBackendTest, WithoutKeepAliveServerCloses) {
   EXPECT_EQ(resp->header("Connection").value_or(""), "close");
 }
 
-TEST_P(HttpLoopBackendTest, PipelinedRequestsAnsweredInOrder) {
-  EchoServer server(GetParam());
+TEST(HttpLoopTest, PipelinedRequestsAnsweredInOrder) {
+  EchoServer server;
   auto stream = TcpStream::connect(server.port(), 1.0);
   ASSERT_TRUE(stream.has_value());
 
@@ -304,10 +264,10 @@ TEST_P(HttpLoopBackendTest, PipelinedRequestsAnsweredInOrder) {
 // Responses released out of request order (worst case: all in reverse) must
 // still reach the wire in request order — the loop's sequencing, not the
 // responder's timing, decides the output order.
-TEST_P(HttpLoopBackendTest, OutOfOrderRespondsAreResequenced) {
+TEST(HttpLoopTest, OutOfOrderRespondsAreResequenced) {
   std::optional<TcpListener> listener = TcpListener::bind_ephemeral();
   ASSERT_TRUE(listener.has_value());
-  Reactor reactor(GetParam());
+  Reactor reactor;
   std::vector<std::pair<std::uint64_t, std::string>> parked;
   std::unique_ptr<HttpLoop> loop;
   loop = std::make_unique<HttpLoop>(
@@ -364,8 +324,8 @@ TEST_P(HttpLoopBackendTest, OutOfOrderRespondsAreResequenced) {
   loop->shutdown();
 }
 
-TEST_P(HttpLoopBackendTest, MalformedRequestGets400AndClose) {
-  EchoServer server(GetParam());
+TEST(HttpLoopTest, MalformedRequestGets400AndClose) {
+  EchoServer server;
   auto stream = TcpStream::connect(server.port(), 1.0);
   ASSERT_TRUE(stream.has_value());
   ASSERT_TRUE(stream->write_all("this is not http\r\n\r\n"));
@@ -377,10 +337,10 @@ TEST_P(HttpLoopBackendTest, MalformedRequestGets400AndClose) {
   EXPECT_EQ(resp->header("Connection").value_or(""), "close");
 }
 
-TEST_P(HttpLoopBackendTest, IdleConnectionsAreSweptOut) {
+TEST(HttpLoopTest, IdleConnectionsAreSweptOut) {
   std::optional<TcpListener> listener = TcpListener::bind_ephemeral();
   ASSERT_TRUE(listener.has_value());
-  Reactor reactor(GetParam());
+  Reactor reactor;
   HttpLoop::Options opts;
   opts.idle_timeout_seconds = 0.2;  // sweep interval floors at 50 ms
   HttpLoop loop(reactor, listener->fd(), opts,
@@ -411,8 +371,8 @@ TEST_P(HttpLoopBackendTest, IdleConnectionsAreSweptOut) {
   loop.shutdown();
 }
 
-TEST_P(ConnectionPoolBackendTest, PooledCallReusesParkedConnection) {
-  EchoServer server(GetParam());
+TEST(ConnectionPoolTest, PooledCallReusesParkedConnection) {
+  EchoServer server;
   ConnectionPool pool;
   HttpRequest req;
   req.method = "POST";
@@ -435,12 +395,12 @@ TEST_P(ConnectionPoolBackendTest, PooledCallReusesParkedConnection) {
   EXPECT_EQ(server.open_connections(), 1u);
 }
 
-TEST_P(ConnectionPoolBackendTest, StaleParkedConnectionRetriesFresh) {
+TEST(ConnectionPoolTest, StaleParkedConnectionRetriesFresh) {
   ConnectionPool pool;
   std::uint16_t port = 0;
   {
     // Park a connection, then kill the server: the parked stream is stale.
-    EchoServer server(GetParam());
+    EchoServer server;
     port = server.port();
     HttpRequest req;
     req.method = "GET";
@@ -461,13 +421,13 @@ TEST_P(ConnectionPoolBackendTest, StaleParkedConnectionRetriesFresh) {
   EXPECT_EQ(pool.idle_count(), 0u);
 }
 
-TEST_P(ConnectionPoolBackendTest, BoundAndIdleTimeoutEnforced) {
+TEST(ConnectionPoolTest, BoundAndIdleTimeoutEnforced) {
   ConnectionPool::Options popts;
   popts.max_idle_per_peer = 2;
   popts.idle_timeout_seconds = 0.05;
   ConnectionPool pool(popts);
 
-  EchoServer server(GetParam());
+  EchoServer server;
   // Park three connections; the bound keeps two.
   std::vector<ClientConnection> conns;
   for (int i = 0; i < 3; ++i) {
@@ -489,68 +449,90 @@ TEST_P(ConnectionPoolBackendTest, BoundAndIdleTimeoutEnforced) {
   EXPECT_EQ(pool.idle_count(), 0u);
 }
 
-// --- backend selection ---
+// --- the listener at the descriptor limit ---
 
-class IoBackendSelectionTest : public ::testing::Test {
- protected:
-  void TearDown() override { ::unsetenv("BH_DISABLE_IO_URING"); }
-};
+// Runs in a death-test child because it lowers the process's own
+// descriptor limit. With one connection queued on the listener and no
+// descriptor left for accept4 (EMFILE), the loop must park the listener
+// rather than spin on its level-triggered readiness, and must accept and
+// answer the connection once descriptors are free again. Exits 0 when both
+// hold; otherwise names the broken expectation on stderr and exits 1.
+[[noreturn]] void run_accept_at_fd_limit() {
+  const auto fail = [](const std::string& why) {
+    std::fprintf(stderr, "%s\n", why.c_str());
+    std::_Exit(1);
+  };
+  std::optional<TcpListener> listener = TcpListener::bind_ephemeral();
+  if (!listener) fail("bind failed");
+  Reactor reactor;
+  HttpLoop loop(reactor, listener->fd(), HttpLoop::Options{},
+                [&](std::uint64_t token, HttpRequest) {
+                  HttpResponse resp;
+                  resp.body = "accepted";
+                  loop.respond(token, std::move(resp));
+                });
+  std::thread t([&] { reactor.run(); });
 
-TEST_F(IoBackendSelectionTest, ParseNames) {
-  EXPECT_EQ(parse_io_backend("auto"), IoBackendKind::kAuto);
-  EXPECT_EQ(parse_io_backend("epoll"), IoBackendKind::kEpoll);
-  EXPECT_EQ(parse_io_backend("io_uring"), IoBackendKind::kIoUring);
-  EXPECT_EQ(parse_io_backend("uring"), IoBackendKind::kIoUring);
-  EXPECT_FALSE(parse_io_backend("kqueue").has_value());
-  EXPECT_FALSE(parse_io_backend("").has_value());
-}
-
-TEST_F(IoBackendSelectionTest, AutoFallsBackToEpollWhenProbeFails) {
-  // BH_DISABLE_IO_URING simulates a kernel without io_uring; `auto` must
-  // still bring up a working loop, on epoll.
-  ::setenv("BH_DISABLE_IO_URING", "1", 1);
-  std::string why;
-  EXPECT_FALSE(io_uring_supported(&why));
-  EXPECT_NE(why.find("BH_DISABLE_IO_URING"), std::string::npos) << why;
-  Reactor reactor(IoBackendKind::kAuto);
-  EXPECT_STREQ(reactor.backend_name(), "epoll");
-}
-
-TEST_F(IoBackendSelectionTest, DisableEnvZeroMeansEnabled) {
-  ::setenv("BH_DISABLE_IO_URING", "0", 1);
-  std::string why;
-  // "0" does not disable; the result is whatever the kernel probe says
-  // (and the reason string, if unsupported, names the kernel, not the env).
-  if (!io_uring_supported(&why)) {
-    EXPECT_EQ(why.find("BH_DISABLE_IO_URING"), std::string::npos) << why;
+  // The client socket exists before the table fills: connect needs no new
+  // descriptor, but the server's accept4 does.
+  Fd client(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  if (!client.valid()) fail("socket failed");
+  rlimit lim{};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) fail("getrlimit failed");
+  lim.rlim_cur = std::min<rlim_t>(lim.rlim_cur,
+                                  static_cast<rlim_t>(client.get()) + 16);
+  if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) fail("setrlimit failed");
+  std::vector<Fd> filler;
+  for (;;) {
+    const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    if (fd < 0) break;
+    filler.emplace_back(fd);
   }
-}
+  if (filler.empty()) fail("no descriptor was free below the lowered limit");
 
-TEST_F(IoBackendSelectionTest, ExplicitIoUringErrorsCleanlyWhenUnsupported) {
-  ::setenv("BH_DISABLE_IO_URING", "1", 1);
-  try {
-    Reactor reactor(IoBackendKind::kIoUring);
-    FAIL() << "expected construction to throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("io_uring"), std::string::npos);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(client.get(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    fail("connect failed");
   }
-}
-
-TEST_F(IoBackendSelectionTest, ExplicitEpollIsAlwaysHonored) {
-  Reactor reactor(IoBackendKind::kEpoll);
-  EXPECT_STREQ(reactor.backend_name(), "epoll");
-}
-
-TEST_F(IoBackendSelectionTest, UringBackendReportsItsName) {
-  std::string why;
-  if (!io_uring_supported(&why)) {
-    GTEST_SKIP() << "io_uring unavailable: " << why;
+  TcpStream stream(std::move(client));
+  stream.set_timeout(5.0);
+  if (!stream.write_all("GET /after-limit HTTP/1.0\r\n\r\n")) {
+    fail("request write failed");
   }
-  Reactor reactor(IoBackendKind::kIoUring);
-  EXPECT_STREQ(reactor.backend_name(), "io_uring");
-  // A fresh loop has made no submissions yet; stats start at zero.
-  const IoBackend::Stats stats = reactor.io_stats();
-  EXPECT_EQ(stats.submit_calls, 0u);
+
+  // Let the loop meet the EMFILE, then count its poll cycles while the
+  // limit holds. A parked listener wakes only for its retry timer.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::uint64_t before = reactor.iterations();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::uint64_t cycles = reactor.iterations() - before;
+  if (cycles > 100) {
+    fail("loop ran " + std::to_string(cycles) +
+         " poll cycles in 300 ms at the descriptor limit");
+  }
+
+  filler.clear();  // descriptors free again: the listener must retry
+  const auto raw = stream.read_to_end();
+  if (!raw) fail("no response after descriptors were freed");
+  const auto resp = parse_response(*raw);
+  if (!resp || resp->status != 200 || resp->body != "accepted") {
+    fail("unexpected response: " + *raw);
+  }
+  reactor.stop();
+  t.join();
+  loop.shutdown();
+  std::_Exit(0);
+}
+
+TEST(ReactorFdLimitTest, ListenerParksAtTheLimitAndAcceptsOnceAnFdFrees) {
+  // Re-exec the binary for the child, so no thread of this process (or of
+  // the sanitizer runtimes) crosses the fork.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(run_accept_at_fd_limit(), ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // sharded cache (RAM hits never copy), extent bodies served via sendfile(2)
 // with partial-send resume, fd-refcount lifetime (an unlinked file still
 // serves while an extent is in flight), and peer-close robustness
-// mid-transfer. Everything that touches the loop runs against every
-// available I/O backend, same as reactor_test.
+// mid-transfer.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -11,7 +10,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,7 +20,6 @@
 #include "cache/body.h"
 #include "cache/sharded_lru.h"
 #include "proxy/http.h"
-#include "proxy/io_backend.h"
 #include "proxy/reactor.h"
 #include "proxy/socket.h"
 
@@ -33,35 +30,6 @@ using Clock = std::chrono::steady_clock;
 using cache::Body;
 using cache::BodyPtr;
 using cache::FdRef;
-
-std::vector<IoBackendKind> test_backends() {
-  std::vector<IoBackendKind> kinds{IoBackendKind::kEpoll};
-  std::string why;
-  if (io_uring_supported(&why)) {
-    kinds.push_back(IoBackendKind::kIoUring);
-  } else {
-    static const bool logged = [&why] {
-      std::fprintf(stderr,
-                   "io_uring unavailable (%s): zerocopy tests run on epoll "
-                   "only\n",
-                   why.c_str());
-      return true;
-    }();
-    (void)logged;
-  }
-  return kinds;
-}
-
-class ZeroCopyBackendTest : public ::testing::TestWithParam<IoBackendKind> {};
-
-std::string backend_param_name(
-    const ::testing::TestParamInfo<IoBackendKind>& info) {
-  return io_backend_kind_name(info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ZeroCopyBackendTest,
-                         ::testing::ValuesIn(test_backends()),
-                         backend_param_name);
 
 std::string pattern_body(std::size_t n) {
   std::string s(n, '\0');
@@ -89,9 +57,9 @@ struct ExtentFixture {
   static std::optional<ExtentFixture> create(const std::string& name,
                                              const std::string& bytes) {
     ExtentFixture fx;
-    // Per-process name: ctest runs each backend's instance of a test as its
-    // own process at the same time, and a shared path would let one
-    // instance truncate the file the other is serving.
+    // Per-process name: ctest runs each test as its own process, possibly
+    // at the same time, and a shared path would let one test truncate the
+    // file another is serving.
     fx.path = ::testing::TempDir() + "/bh_zc_" + name + "_" +
               std::to_string(::getpid());
     const int wfd =
@@ -117,13 +85,12 @@ struct ExtentFixture {
 // Serves one fixed Body for every request, on a real loop.
 class BodyServer {
  public:
-  BodyServer(IoBackendKind backend, Body body, std::uint64_t zc_min_bytes = 0) {
+  explicit BodyServer(Body body) {
     listener_ = TcpListener::bind_ephemeral();
     EXPECT_TRUE(listener_.has_value());
-    reactor_ = std::make_unique<Reactor>(backend);
+    reactor_ = std::make_unique<Reactor>();
     HttpLoop::Options opts;
     opts.idle_timeout_seconds = 30.0;
-    if (zc_min_bytes != 0) opts.zero_copy_min_bytes = zc_min_bytes;
     loop_ = std::make_unique<HttpLoop>(
         *reactor_, listener_->fd(), opts,
         [this, body](std::uint64_t token, HttpRequest req) {
@@ -231,11 +198,11 @@ TEST(BodyTest, FdRefClosesOnLastRelease) {
 
 // --- the serve path: sendfile, resume, lifetime, robustness ---
 
-TEST_P(ZeroCopyBackendTest, ExtentBodyServedWholeViaSendfile) {
+TEST(ZeroCopyTest, ExtentBodyServedWholeViaSendfile) {
   const std::string bytes = pattern_body(256 * 1024);
   auto fx = ExtentFixture::create("serve", bytes);
   ASSERT_TRUE(fx.has_value());
-  BodyServer server(GetParam(), Body::extent(fx->fd, 0, bytes.size()));
+  BodyServer server(Body::extent(fx->fd, 0, bytes.size()));
 
   auto conn = ClientConnection::open(server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
@@ -251,14 +218,14 @@ TEST_P(ZeroCopyBackendTest, ExtentBodyServedWholeViaSendfile) {
   EXPECT_GE(server.loop().zerocopy_bytes(), bytes.size());
 }
 
-TEST_P(ZeroCopyBackendTest, PartialSendfileResumesAfterEagain) {
+TEST(ZeroCopyTest, PartialSendfileResumesAfterEagain) {
   // A multi-megabyte extent against a client that drains slowly: the socket
   // buffer fills, sendfile returns EAGAIN mid-body, and the loop must
   // resume from the exact file offset when the peer catches up.
   const std::string bytes = pattern_body(4 * 1024 * 1024);
   auto fx = ExtentFixture::create("resume", bytes);
   ASSERT_TRUE(fx.has_value());
-  BodyServer server(GetParam(), Body::extent(fx->fd, 0, bytes.size()));
+  BodyServer server(Body::extent(fx->fd, 0, bytes.size()));
 
   auto stream = TcpStream::connect(server.port(), 5.0);
   ASSERT_TRUE(stream.has_value());
@@ -287,13 +254,13 @@ TEST_P(ZeroCopyBackendTest, PartialSendfileResumesAfterEagain) {
   EXPECT_EQ(got.substr(hdr_end + 4), bytes);
 }
 
-TEST_P(ZeroCopyBackendTest, UnlinkedFileStillServesInFlightExtent) {
+TEST(ZeroCopyTest, UnlinkedFileStillServesInFlightExtent) {
   // POSIX: the open fd pins the inode. Unlinking the file after the
   // response was queued must not corrupt or truncate the transfer.
   const std::string bytes = pattern_body(512 * 1024);
   auto fx = ExtentFixture::create("unlink", bytes);
   ASSERT_TRUE(fx.has_value());
-  BodyServer server(GetParam(), Body::extent(fx->fd, 0, bytes.size()));
+  BodyServer server(Body::extent(fx->fd, 0, bytes.size()));
   ASSERT_EQ(::unlink(fx->path.c_str()), 0);
   fx->fd.reset();  // the Body inside the server holds the only reference
 
@@ -307,11 +274,11 @@ TEST_P(ZeroCopyBackendTest, UnlinkedFileStillServesInFlightExtent) {
   EXPECT_EQ(resp->body, bytes);
 }
 
-TEST_P(ZeroCopyBackendTest, PeerCloseMidTransferIsCleanedUp) {
+TEST(ZeroCopyTest, PeerCloseMidTransferIsCleanedUp) {
   const std::string bytes = pattern_body(4 * 1024 * 1024);
   auto fx = ExtentFixture::create("abort", bytes);
   ASSERT_TRUE(fx.has_value());
-  BodyServer server(GetParam(), Body::extent(fx->fd, 0, bytes.size()));
+  BodyServer server(Body::extent(fx->fd, 0, bytes.size()));
 
   {
     auto stream = TcpStream::connect(server.port(), 5.0);
@@ -331,13 +298,12 @@ TEST_P(ZeroCopyBackendTest, PeerCloseMidTransferIsCleanedUp) {
   EXPECT_EQ(resp->body, bytes);
 }
 
-TEST_P(ZeroCopyBackendTest, LargeSharedBufferServedIntact) {
-  // Above zero_copy_min_bytes the RAM path goes SEND_ZC on io_uring and a
-  // plain gather on epoll; both must deliver byte-exact bodies, repeatedly,
-  // on one keep-alive connection (notification ordering exercised).
+TEST(ZeroCopyTest, LargeSharedBufferServedIntact) {
+  // A megabyte RAM body outgrows the socket buffer: the gathered sendmsg
+  // goes short and resumes mid-body, and must deliver byte-exact bodies,
+  // repeatedly, on one keep-alive connection.
   const std::string bytes = pattern_body(1 * 1024 * 1024);
-  BodyServer server(GetParam(), Body(std::string(bytes)),
-                    /*zc_min_bytes=*/64 * 1024);
+  BodyServer server(Body{std::string(bytes)});
 
   auto conn = ClientConnection::open(server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
@@ -349,17 +315,13 @@ TEST_P(ZeroCopyBackendTest, LargeSharedBufferServedIntact) {
     ASSERT_TRUE(resp.has_value()) << "exchange " << i;
     EXPECT_EQ(resp->body, bytes);
   }
-  if (GetParam() == IoBackendKind::kIoUring) {
-    EXPECT_GE(server.loop().zerocopy_sends(), 1u);
-  }
 }
 
-TEST_P(ZeroCopyBackendTest, SmallBodiesStayOnTheGatherPath) {
-  // Below the threshold nothing special happens — and the zerocopy
-  // counters say so.
+TEST(ZeroCopyTest, SmallBodiesStayOnTheGatherPath) {
+  // RAM bodies go out by the gathered copy — and the zerocopy counters say
+  // so.
   const std::string bytes = pattern_body(512);
-  BodyServer server(GetParam(), Body(std::string(bytes)),
-                    /*zc_min_bytes=*/64 * 1024);
+  BodyServer server(Body{std::string(bytes)});
   auto conn = ClientConnection::open(server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
   HttpRequest req;
